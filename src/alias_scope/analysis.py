@@ -115,7 +115,11 @@ def patch_aliasing_map(
 
 
 def pixel_cross_entropy(probs: FeatureTensor, gt: LabelMask) -> np.ndarray:
-    """Per-pixel -log p(true class); ignored pixels come back as NaN."""
+    """Per-pixel -log p(true class); ignored pixels come back as NaN.
+
+    p is clamped to the smallest normal float64 before the log, so a true
+    class given probability 0 costs -log(tiny) ~= 708.4 rather than +inf.
+    """
     c, h, w = probs.data.shape
     if (h, w) != gt.data.shape:
         raise ShapeError(
@@ -133,8 +137,7 @@ def pixel_cross_entropy(probs: FeatureTensor, gt: LabelMask) -> np.ndarray:
     out = np.full((h, w), np.nan)
     safe_labels = np.where(valid, labels, 0).astype(np.int64)
     picked = np.take_along_axis(data, safe_labels[None, :, :], axis=0)[0]
-    with np.errstate(divide="ignore"):
-        out[valid] = -np.log(np.maximum(picked[valid], 0.0))
+    out[valid] = -np.log(np.maximum(picked[valid], np.finfo(np.float64).tiny))
     return out
 
 

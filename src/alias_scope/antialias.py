@@ -53,34 +53,39 @@ def band_power(spec: Spectrum, cutoff: CutoffSpec) -> tuple[np.ndarray, np.ndarr
     return high, total
 
 
-def aliasing_score(
-    f: FeatureTensor, cutoff: CutoffSpec, mode: str = "per_channel_mean"
+def score_from_power(
+    high: np.ndarray, total: np.ndarray, mode: str = "per_channel_mean"
 ) -> float:
-    """Fraction of spectral power above the cutoff, in [0, 1].
+    """Aliasing score from band_power's per-channel (high, total) pair.
 
     per_channel_mean averages the per-channel ratios (channels with zero
     power are excluded); global pools power over all channels first.
     """
     if mode not in SCORE_MODES:
         raise SpecError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
-    high, total = band_power(fft2(f), cutoff)
     if mode == "global":
-        denom = float(total.sum())
-        if denom == 0.0:
-            raise UndefinedRatioError("aliasing score undefined for all-zero tensor")
-        return float(high.sum() / denom)
+        high, total = high.sum(keepdims=True), total.sum(keepdims=True)
     defined = total > 0.0
     if not np.any(defined):
         raise UndefinedRatioError("aliasing score undefined for all-zero tensor")
     return float((high[defined] / total[defined]).mean())
 
 
+def channel_scores(high: np.ndarray, total: np.ndarray) -> list[float | None]:
+    """Per-channel ratios from band_power's output; None for zero-power channels."""
+    return [float(h / t) if t > 0.0 else None for h, t in zip(high, total)]
+
+
+def aliasing_score(
+    f: FeatureTensor, cutoff: CutoffSpec, mode: str = "per_channel_mean"
+) -> float:
+    """Fraction of spectral power above the cutoff, in [0, 1]; see score_from_power."""
+    return score_from_power(*band_power(fft2(f), cutoff), mode)
+
+
 def per_channel_scores(f: FeatureTensor, cutoff: CutoffSpec) -> list[float | None]:
     """Per-channel score list; None for zero-power channels."""
-    high, total = band_power(fft2(f), cutoff)
-    return [
-        float(h / t) if t > 0.0 else None for h, t in zip(high, total)
-    ]
+    return channel_scores(*band_power(fft2(f), cutoff))
 
 
 def daf(f: FeatureTensor, cutoff: CutoffSpec) -> FeatureTensor:

@@ -36,12 +36,13 @@ from .analysis import (
 from .antialias import (
     CutoffSpec,
     add_gaussian_noise,
-    aliasing_score,
+    band_power,
     binomial_blur,
     binomial_kernel,
+    channel_scores,
     daf,
     flc_cutoff,
-    per_channel_scores,
+    score_from_power,
 )
 from .arrays import (
     BinaryMask,
@@ -70,7 +71,7 @@ from .sampling import (
     nyquist,
     predicted_alias_frequency,
 )
-from .spectral import filter_frequency_response
+from .spectral import fft2, filter_frequency_response
 from .segmetrics import (
     boundary_band,
     default_band_width,
@@ -169,24 +170,21 @@ def _downsample_spec_from_args(args) -> DownsampleSpec:
 
 def _resolve_cutoff(args, default: float | None = None) -> tuple[str, float]:
     """Pick exactly one cutoff source: --cutoff, ESR flags, or --flc-stride."""
-    cfg = getattr(args, "_config", {})
-    explicit = args.cutoff
-    if explicit is None and "cutoff.value" in cfg:
-        explicit = float(cfg["cutoff.value"])
+    explicit = _cfg(args, "cutoff.value", float, None, attr="cutoff")
     esr_given = any(
         getattr(args, name, None) is not None
         for name in ("kernel", "kernel_h", "kernel_w", "cin", "cout")
     )
     flc = getattr(args, "flc_stride", None)
-    if flc is None and "cutoff.flc_stride" in cfg and explicit is None and not esr_given:
-        flc = int(cfg["cutoff.flc_stride"])
+    if flc is None and explicit is None and not esr_given:
+        flc = _cfg(args, "cutoff.flc_stride", int, None)
     sources = [explicit is not None, esr_given, flc is not None]
     if sum(sources) > 1:
         raise InputError(
             "specify exactly one cutoff source: --cutoff, ESR flags, or --flc-stride"
         )
     if explicit is not None:
-        return "explicit", float(explicit)
+        return "explicit", explicit
     if esr_given:
         return "esr", nyquist(_downsample_spec_from_args(args))
     if flc is not None:
@@ -252,7 +250,12 @@ def _report(args, config: RunConfig, inputs: dict, result: dict) -> dict:
 
 
 def _emit_json(args, report: dict) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(
+            _jsonable(report), indent=2, sort_keys=True, allow_nan=False
+        ) + "\n"
+    except ValueError as exc:
+        raise InternalError(f"report is not strict JSON: {exc}") from exc
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -338,13 +341,13 @@ def cmd_score(args) -> None:
     config = _run_config(args, source, cutoff)
     _require_json(config)
     f = _load_feature(args.input)
-    spec = CutoffSpec(cutoff)
+    high, total = band_power(fft2(f), CutoffSpec(cutoff))
     result = {
-        "aliasing_score": aliasing_score(f, spec, mode=config.score_mode),
+        "aliasing_score": score_from_power(high, total, config.score_mode),
         "mode": config.score_mode,
-        "per_channel_mean": aliasing_score(f, spec, mode="per_channel_mean"),
-        "global": aliasing_score(f, spec, mode="global"),
-        "per_channel": per_channel_scores(f, spec),
+        "per_channel_mean": score_from_power(high, total, "per_channel_mean"),
+        "global": score_from_power(high, total, "global"),
+        "per_channel": channel_scores(high, total),
         "cutoff": cutoff,
         "cutoff_source": source,
     }
@@ -474,6 +477,8 @@ def cmd_analyze(args) -> None:
         raw = read_npy(args.score)
         if raw.ndim != 2:
             raise InputError(f"{args.score}: score map must be 2D")
+        if not np.all(np.isfinite(raw)):
+            raise InputError(f"{args.score}: score map contains NaN/Inf")
         if raw.size and (raw.min() < 0.0 or raw.max() > 1.0):
             raise InputError(f"{args.score}: score values must lie in [0, 1]")
         inputs["score"] = args.score

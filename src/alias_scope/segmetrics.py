@@ -176,6 +176,7 @@ def miou(
             f"mask shapes differ: {pred.data.shape} vs {gt.data.shape}"
         )
     gt.validate_classes(n_classes)
+    pred.validate_classes(n_classes)
     valid = np.ones(gt.data.shape, dtype=bool)
     if gt.ignore_value is not None:
         valid &= gt.data != gt.ignore_value

@@ -7,9 +7,9 @@ signed normalized form: index i on an N-grid maps to i/N for i <= N/2 and
 to i/N - 1 otherwise, so |freq| never exceeds 1/2 and the single bin at
 the edge of an even grid is +1/2.
 
-The transforms are self-contained: a radix-2 Cooley-Tukey path for
-power-of-two lengths and a Bluestein chirp-z path for everything else,
-both gated in the tests against the literal double-sum oracle dft2_naive.
+The fast transforms are numpy.fft's under the same convention
+(norm="forward"), run in double precision whatever the input dtype, and
+gated in the tests against the literal double-sum oracle dft2_naive.
 """
 
 from __future__ import annotations
@@ -80,75 +80,6 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# 1D transform engine (unnormalized; sign=-1 forward, sign=+1 inverse)
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _fft_pow2(x: np.ndarray, sign: int) -> np.ndarray:
-    """Iterative radix-2 transform along the last axis (length power of 2)."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.complex128, copy=True)
-    # bit-reversal permutation
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    out = x[..., rev].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(*out.shape[:-1], n // size, size)
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        size *= 2
-    return out
-
-
-def _fft_bluestein(x: np.ndarray, sign: int) -> np.ndarray:
-    """Chirp-z transform along the last axis for arbitrary length."""
-    n = x.shape[-1]
-    # exp(sign*pi*i*m^2/n); m^2 taken mod 2n keeps the phase argument small
-    m = np.arange(n, dtype=np.int64)
-    phase = (m * m) % (2 * n)
-    chirp = np.exp(sign * 1j * np.pi * phase / n)
-    padded = 1
-    while padded < 2 * n - 1:
-        padded *= 2
-    a = np.zeros(x.shape[:-1] + (padded,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    b = np.zeros(padded, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[padded - n + 1:] = np.conj(chirp[1:][::-1])
-    fa = _fft_pow2(a, -1)
-    fb = _fft_pow2(b, -1)
-    conv = _fft_pow2(fa * fb, +1) / padded
-    return conv[..., :n] * chirp
-
-
-def _fft1d(x: np.ndarray, sign: int) -> np.ndarray:
-    n = x.shape[-1]
-    if _is_pow2(n):
-        return _fft_pow2(x, sign)
-    return _fft_bluestein(x, sign)
-
-
-def _fft2_core(x: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized 2D transform over the last two axes."""
-    y = _fft1d(np.asarray(x, dtype=np.complex128), sign)
-    y = _fft1d(np.swapaxes(y, -1, -2), sign)
-    return np.swapaxes(y, -1, -2)
-
-
-# ---------------------------------------------------------------------------
 # Public transforms
 
 
@@ -171,9 +102,13 @@ def dft2_naive(f: FeatureTensor) -> Spectrum:
 
 
 def fft2(f: FeatureTensor) -> Spectrum:
-    """Fast 2D transform with the 1/(H*W) forward normalization."""
-    data = f.data
-    return Spectrum(_fft2_core(data, -1) / (data.shape[1] * data.shape[2]))
+    """Fast 2D transform with the 1/(H*W) forward normalization.
+
+    The input is promoted to float64 first: numpy.fft transforms float32
+    input in single precision.
+    """
+    data = f.data.astype(np.float64, copy=False)
+    return Spectrum(np.fft.fft2(data, norm="forward"))
 
 
 def ifft2(spec: Spectrum) -> FeatureTensor:
@@ -183,7 +118,7 @@ def ifft2(spec: Spectrum) -> FeatureTensor:
 
 def ifft2_complex(spec: Spectrum) -> np.ndarray:
     """Inverse transform without discarding the imaginary part."""
-    return _fft2_core(spec.coeffs, +1)
+    return np.fft.ifft2(spec.coeffs, norm="forward")
 
 
 def power_spectrum(spec: Spectrum) -> np.ndarray:
@@ -211,5 +146,5 @@ def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
         raise SizeError(f"kernel {kernel.shape} larger than {grid}x{grid} grid")
     padded = np.zeros((grid, grid), dtype=np.float64)
     padded[:kh, :kw] = kernel
-    response = np.abs(_fft2_core(padded, -1))
+    response = np.abs(np.fft.fft2(padded))
     return center_shift(response)

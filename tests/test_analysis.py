@@ -120,6 +120,14 @@ def test_ce_mixed_two_class():
     assert np.abs(ce - expected).max() < 1e-12
 
 
+def test_ce_zero_probability_is_clamped():
+    gt = LabelMask(np.array([[0, 1]], dtype=np.uint8))
+    probs = FeatureTensor(np.array([[[0.0, 0.0]], [[1.0, 1.0]]]))
+    ce = pixel_cross_entropy(probs, gt)
+    assert ce[0, 0] == pytest.approx(-np.log(np.finfo(np.float64).tiny), abs=1e-12)
+    assert ce[0, 1] == 0.0
+
+
 def test_ce_ignored_pixels_are_nan():
     gt = LabelMask(np.array([[0, 255]], dtype=np.uint8), ignore_value=255)
     probs = FeatureTensor(np.full((2, 1, 2), 0.5))

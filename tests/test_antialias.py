@@ -111,6 +111,18 @@ def test_daf_exact_dealiasing(cutoff):
         assert aliasing_score(out, spec) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3, 32, 32), (2, 97, 97)])
+def test_daf_float32_input_matches_float64_reference(shape):
+    data = np.random.default_rng(sum(shape)).standard_normal(shape).astype("<f4")
+    coeffs = np.fft.fft2(data.astype(np.float64))
+    keep_h = np.abs(signed_frequencies(shape[1])) <= 0.25
+    keep_w = np.abs(signed_frequencies(shape[2])) <= 0.25
+    coeffs[:, ~(keep_h[:, None] & keep_w[None, :])] = 0.0
+    expected = np.fft.ifft2(coeffs).real
+    out = daf(FeatureTensor(data), QUARTER).data
+    assert np.abs(out - expected).max() < 1e-9 * np.abs(expected).max()
+
+
 def test_daf_idempotent():
     f = rand_tensor((1, 10, 14), 9)
     once = daf(f, QUARTER)

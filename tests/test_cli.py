@@ -22,6 +22,10 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture
 def feature_file(tmp_path):
     path = tmp_path / "feat.npy"
@@ -411,3 +415,82 @@ def test_reports_embed_version_and_digest(capsys, feature_file):
     assert report["version"]
     digest = report["inputs"]["input"]["sha256"]
     assert len(digest) == 64
+
+
+@pytest.mark.parametrize(
+    "section", ["[cutoff]\nvalue = quarter\n", "[cutoff]\nflc_stride = two\n"]
+)
+def test_non_numeric_config_cutoff_rejected(capsys, tmp_path, feature_file, section):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(section)
+    code, _, err = run(capsys, "score", feature_file, "--config", cfg)
+    assert code == 2
+    assert "config cutoff." in err
+
+
+def test_score_single_pass_matches_modes(capsys, feature_file):
+    report = run_json(capsys, "score", feature_file, "--cutoff", 0.25)
+    result = report["result"]
+    per_channel = result["per_channel"]
+    assert result["aliasing_score"] == result["per_channel_mean"]
+    assert result["per_channel_mean"] == pytest.approx(np.mean(per_channel), abs=1e-15)
+    assert 0.0 <= result["global"] <= 1.0
+
+
+def test_score_all_zero_tensor_exit_2(capsys, tmp_path):
+    path = tmp_path / "zeros.npy"
+    write_npy(path, np.zeros((2, 8, 8)))
+    code, _, err = run(capsys, "score", path, "--cutoff", 0.25)
+    assert code == 2
+    assert "undefined" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_non_finite_score_map_rejected(capsys, tmp_path, bad):
+    values = np.full((8, 8), 0.5)
+    values[3, 3] = bad
+    score = tmp_path / "score.npy"
+    write_npy(score, values)
+    gt = np.zeros((8, 8), dtype=np.uint8)
+    gt[2:6, 2:6] = 1
+    gt_path = tmp_path / "gt.npy"
+    write_npy(gt_path, gt)
+    code, _, err = run(
+        capsys, "analyze", "--score", score, "--pred", gt_path, "--gt", gt_path,
+        "--bins", 4, "--band-width", 1,
+    )
+    assert code == 2
+    assert "NaN/Inf" in err
+
+
+def test_analyze_zero_true_class_probability_is_strict_json(capsys, tmp_path):
+    h, w = 8, 8
+    gt = np.zeros((h, w), dtype=np.uint8)
+    gt[2:6, 2:6] = 1
+    probs = np.zeros((2, h, w))
+    probs[1] = 1.0  # every class-0 pixel gets p(true) = 0
+    score = tmp_path / "score.npy"
+    write_npy(score, np.full((h, w), 0.5))
+    gt_path, probs_path = tmp_path / "gt.npy", tmp_path / "probs.npy"
+    write_npy(gt_path, gt)
+    write_npy(probs_path, probs)
+    code, out, err = run(
+        capsys, "analyze", "--score", score, "--probs", probs_path,
+        "--gt", gt_path, "--bins", 2, "--band-width", 1,
+    )
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    means = [r["mean"] for r in report["result"]["curves"]["boundary_cross_entropy"]]
+    assert all(m is None or math.isfinite(m) for m in means)
+    assert any(m is not None and m > 0.0 for m in means)
+
+
+def test_metrics_pred_label_out_of_range(capsys, tmp_path, mask_pair):
+    _, gt_path = mask_pair
+    pred = np.zeros((8, 8), dtype=np.uint8)
+    pred[0, 0] = 5
+    pred_path = tmp_path / "pred_bad.npy"
+    write_npy(pred_path, pred)
+    code, _, err = run(capsys, "metrics", pred_path, gt_path, "--classes", 2)
+    assert code == 2
+    assert "out of range" in err

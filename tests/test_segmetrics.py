@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alias_scope.arrays import BinaryMask, LabelMask
-from alias_scope.errors import ShapeError
+from alias_scope.errors import ShapeError, ValidationError
 from alias_scope.segmetrics import (
     TAG_DISPLACEMENT,
     TAG_FALSE_RESPONSE,
@@ -221,6 +221,13 @@ def test_miou_two_class_counting():
     )
     # class 0: inter 8, union 12; class 1: inter 4, union 8
     assert miou(pred, gt, 2) == pytest.approx((8 / 12 + 4 / 8) / 2, abs=1e-12)
+
+
+def test_miou_rejects_out_of_range_pred_label():
+    gt = LabelMask(np.zeros((4, 4), dtype=np.uint8))
+    pred = LabelMask(np.full((4, 4), 3, dtype=np.uint8))
+    with pytest.raises(ValidationError):
+        miou(pred, gt, 2)
 
 
 def test_miou_ignores_ignore_pixels():

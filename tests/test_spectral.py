@@ -86,6 +86,17 @@ def test_fft_matches_naive(shape):
     assert rel_err(fft2(f).coeffs, dft2_naive(f).coeffs) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(2, 16, 16), (1, 97, 97)])
+def test_fft_float32_input_in_double_precision(shape):
+    # numpy.fft alone would transform <f4 data in single precision (~1e-7)
+    data = np.random.default_rng(sum(shape)).standard_normal(shape).astype("<f4")
+    f = FeatureTensor(data)
+    assert f.data.dtype == np.float32
+    coeffs = fft2(f).coeffs
+    assert coeffs.dtype == np.complex128
+    assert rel_err(coeffs, dft2_naive(f).coeffs) < 1e-9
+
+
 def test_fft_zero_tensor():
     f = FeatureTensor(np.zeros((2, 6, 10)))
     assert np.abs(fft2(f).coeffs).max() == 0.0
