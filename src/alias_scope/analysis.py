@@ -17,9 +17,9 @@ import numpy as np
 from scipy import ndimage
 
 from .antialias import CutoffSpec, aliasing_score
-from .arrays import BinaryMask, FeatureTensor, LabelMask, class_mask
+from .arrays import BinaryMask, FeatureTensor, LabelMask
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
-from .segmetrics import TAG_NAMES, classify_boundary_pixels, relevant_classes
+from .segmetrics import TAG_NAMES, class_band_pairs
 
 THREADS_ENV = "ALIAS_SCOPE_THREADS"
 
@@ -211,19 +211,16 @@ def error_type_distribution(
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
     merged = np.zeros(gt.data.shape, dtype=np.uint8)
-    for c in relevant_classes(pred, gt):
-        tags = classify_boundary_pixels(class_mask(pred, c), class_mask(gt, c), d)
-        merged = np.where(merged == 0, tags, merged)
+    for pair in class_band_pairs(pred, gt, d).values():
+        merged = np.where(merged == 0, pair.tags(), merged)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     tagged = merged != 0
-    counts = np.zeros(n_bins, dtype=np.int64)
-    type_counts = {name: np.zeros(n_bins, dtype=np.int64) for name in TAG_NAMES.values()}
-    if tagged.any():
-        idx = _bin_index(score.values[tagged], n_bins)
-        counts = np.bincount(idx, minlength=n_bins)
-        for tag, name in TAG_NAMES.items():
-            sel = merged[tagged] == tag
-            type_counts[name] = np.bincount(idx[sel], minlength=n_bins)
+    idx = _bin_index(score.values[tagged], n_bins)
+    counts = np.bincount(idx, minlength=n_bins)
+    type_counts = {
+        name: np.bincount(idx[merged[tagged] == tag], minlength=n_bins)
+        for tag, name in TAG_NAMES.items()
+    }
     means = np.full(n_bins, np.nan)
     meta = dict(score.metadata())
     meta["band_width"] = d

@@ -9,8 +9,8 @@ little-endian, C order, restricted to the dtypes '<f4', '<f8', '|u1',
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,48 +40,45 @@ DEFAULT_IGNORE_VALUE = 255
 
 def read_npy(path) -> np.ndarray:
     """Read an NPY v1.0 file into a C-ordered array of a supported dtype."""
-    data = Path(path).read_bytes()
-    if len(data) < 10 or data[:6] != NPY_MAGIC:
-        raise FormatError(f"{path}: not an NPY file (bad magic)")
-    major, minor = data[6], data[7]
-    if (major, minor) != (1, 0):
-        raise FormatError(f"{path}: unsupported NPY version {major}.{minor}")
-    header_len = int.from_bytes(data[8:10], "little")
-    header_end = 10 + header_len
-    if len(data) < header_end:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header_text = data[10:header_end].decode("ascii")
-        header = ast.literal_eval(header_text.strip())
-    except (UnicodeDecodeError, ValueError, SyntaxError) as exc:
-        raise FormatError(f"{path}: unparseable header") from exc
-    if not isinstance(header, dict) or set(header) != {
-        "descr",
-        "fortran_order",
-        "shape",
-    }:
-        raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
-    descr = header["descr"]
-    if descr not in _DESCR_TO_DTYPE:
-        raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
-    if header["fortran_order"] is not False:
-        raise FormatError(f"{path}: fortran_order must be False")
-    shape = header["shape"]
-    if not (
-        isinstance(shape, tuple)
-        and all(isinstance(n, int) and n >= 0 for n in shape)
-    ):
-        raise FormatError(f"{path}: bad shape {shape!r}")
-    dtype = _DESCR_TO_DTYPE[descr]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    expected = count * dtype.itemsize
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    return arr.copy()  # decouple from the file buffer, writable C order
+    with open(path, "rb") as fh:
+        prefix = fh.read(10)
+        if len(prefix) < 10 or prefix[:6] != NPY_MAGIC:
+            raise FormatError(f"{path}: not an NPY file (bad magic)")
+        major, minor = prefix[6], prefix[7]
+        if (major, minor) != (1, 0):
+            raise FormatError(f"{path}: unsupported NPY version {major}.{minor}")
+        header_len = int.from_bytes(prefix[8:10], "little")
+        header_bytes = fh.read(header_len)
+        if len(header_bytes) < header_len:
+            raise FormatError(f"{path}: truncated header")
+        try:
+            header = ast.literal_eval(header_bytes.decode("ascii").strip())
+        except (UnicodeDecodeError, ValueError, SyntaxError) as exc:
+            raise FormatError(f"{path}: unparseable header") from exc
+        keys = {"descr", "fortran_order", "shape"}
+        if not isinstance(header, dict) or set(header) != keys:
+            raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
+        descr = header["descr"]
+        if descr not in _DESCR_TO_DTYPE:
+            raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
+        if header["fortran_order"] is not False:
+            raise FormatError(f"{path}: fortran_order must be False")
+        shape = header["shape"]
+        if not (
+            isinstance(shape, tuple)
+            and all(isinstance(n, int) and n >= 0 for n in shape)
+        ):
+            raise FormatError(f"{path}: bad shape {shape!r}")
+        dtype = _DESCR_TO_DTYPE[descr]
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        expected = count * dtype.itemsize
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise FormatError(
+                f"{path}: payload is {payload} bytes, expected {expected}"
+            )
+        arr = np.fromfile(fh, dtype=dtype, count=count)
+    return arr.reshape(shape)
 
 
 def write_npy(path, arr: np.ndarray) -> None:

@@ -31,7 +31,6 @@ from .analysis import (
     error_type_distribution,
     patch_aliasing_map,
     pixel_cross_entropy,
-    worker_count,
 )
 from .antialias import (
     CutoffSpec,
@@ -74,8 +73,8 @@ from .sampling import (
 from .spectral import fft2, filter_frequency_response
 from .segmetrics import (
     boundary_band,
+    class_band_pairs,
     default_band_width,
-    error_metrics,
     miou,
     multiclass_boundary,
     multiclass_errors,
@@ -98,7 +97,6 @@ class RunConfig:
     bins: int
     out_format: str
     seed: int
-    threads: int
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,6 @@ def _run_config(args, cutoff_source: str = "none", cutoff: float | None = None) 
         bins=_cfg(args, "analysis.bins", int, 20),
         out_format=_cfg(args, "output.format", str, "json", attr="format"),
         seed=_cfg(args, "output.seed", int, 0),
-        threads=worker_count(),
     )
 
 
@@ -408,33 +405,21 @@ def cmd_metrics(args) -> None:
         raise InputError("pred and gt shapes differ")
     classes = relevant_classes(pred, gt)
     n_classes = args.classes if args.classes is not None else (max(classes) + 1 if classes else 0)
-    if n_classes == 0:
-        _emit_json(
-            args,
-            _report(
-                args,
-                config,
-                {"pred": args.pred, "gt": args.gt},
-                {"per_class": {}, "note": "no class defined anywhere"},
-            ),
-        )
-        return
+    pred.validate_classes(n_classes)
+    gt.validate_classes(n_classes)
     d = _band_width_for(args, gt.data.shape)
-    errors = multiclass_errors(pred, gt, d)
-    boundary = multiclass_boundary(pred, gt, d)
-    per_class = {}
-    for c in errors.per_class:
-        gt_c = class_mask(gt, c)
-        baseline = error_metrics(gt_c, gt_c, d)
-        rates = errors.per_class[c]
-        per_class[c] = {
-            "ferr": rates.ferr,
-            "merr": rates.merr,
-            "derr": rates.derr,
-            "derr_perfect_baseline": baseline.derr,
+    pairs = class_band_pairs(pred, gt, d)
+    errors = multiclass_errors(pairs)
+    boundary = multiclass_boundary(pairs)
+    per_class = {
+        c: {
+            **asdict(errors.per_class[c]),
+            "derr_perfect_baseline": pair.derr_baseline(),
             "biou": boundary.per_class_iou[c],
             "bacc": boundary.per_class_acc[c],
         }
+        for c, pair in pairs.items()
+    }
     result = {
         "miou": miou(pred, gt, n_classes, gt_classes_only=not args.all_classes),
         "band_width": d,

@@ -270,3 +270,11 @@ def test_distribution_deterministic():
     a = error_type_distribution(pred, gt, score, d=1, n_bins=6)
     b = error_type_distribution(pred, gt, score, d=1, n_bins=6)
     assert json.dumps(a.rows()) == json.dumps(b.rows())
+
+
+def test_distribution_fully_ignored_masks_count_nothing():
+    ignored = LabelMask(np.full((6, 6), 255, dtype=np.uint8))
+    score = uniform_score_map(np.full((6, 6), 0.3))
+    curve = error_type_distribution(ignored, ignored, score, d=1, n_bins=4)
+    assert curve.counts.tolist() == [0, 0, 0, 0]
+    assert all(c.tolist() == [0, 0, 0, 0] for c in curve.type_counts.values())

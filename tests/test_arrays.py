@@ -91,6 +91,26 @@ def test_truncated_payload_is_format_error(tmp_path):
         read_npy(path)
 
 
+def test_trailing_payload_bytes_are_format_error(tmp_path):
+    path = tmp_path / "long.npy"
+    write_npy(path, np.zeros((4, 4), dtype=np.float64))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(FormatError):
+        read_npy(path)
+
+
+@pytest.mark.parametrize(
+    "arr", [np.arange(6.0).reshape(2, 3), np.float64(2.5), np.zeros((0, 3))]
+)
+def test_read_npy_gives_writable_c_array(tmp_path, arr):
+    path = tmp_path / "a.npy"
+    write_npy(path, arr)
+    back = read_npy(path)
+    assert back.shape == np.shape(arr)
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert np.array_equal(back, arr)
+
+
 def test_fortran_order_rejected(tmp_path):
     path = tmp_path / "f.npy"
     np.save(path, np.asfortranarray(np.arange(12.0).reshape(3, 4)))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from alias_scope import segmetrics
 from alias_scope.arrays import read_npy, write_npy
 from alias_scope.cli import main
 from alias_scope.freqmix import WEIGHT_FIELDS
@@ -494,3 +495,74 @@ def test_metrics_pred_label_out_of_range(capsys, tmp_path, mask_pair):
     code, _, err = run(capsys, "metrics", pred_path, gt_path, "--classes", 2)
     assert code == 2
     assert "out of range" in err
+
+
+def _count_band_calls(monkeypatch):
+    calls = []
+    real = segmetrics.boundary_band
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(segmetrics, "boundary_band", counting)
+    return calls
+
+
+@pytest.fixture
+def three_class_pair(tmp_path):
+    gt = np.zeros((8, 8), dtype=np.uint8)
+    gt[2:6, 2:6] = 1
+    gt[6:, :] = 2
+    pred = np.roll(gt, 1, axis=1)
+    gt_path = tmp_path / "gt3.npy"
+    pred_path = tmp_path / "pred3.npy"
+    write_npy(gt_path, gt)
+    write_npy(pred_path, pred)
+    return pred_path, gt_path
+
+
+@pytest.mark.parametrize("classes", [0, 2])
+def test_metrics_validates_labels_before_any_band(
+    capsys, monkeypatch, three_class_pair, classes
+):
+    calls = _count_band_calls(monkeypatch)
+    pred, gt = three_class_pair
+    code, out, err = run(capsys, "metrics", pred, gt, "--classes", classes)
+    assert code == 2
+    assert "out of range" in err
+    assert out == ""
+    assert calls == []
+
+
+def test_metrics_builds_two_bands_per_class(capsys, monkeypatch, three_class_pair):
+    calls = _count_band_calls(monkeypatch)
+    pred, gt = three_class_pair
+    report = run_json(capsys, "metrics", pred, gt, "--band-width", 1)
+    assert len(report["result"]["per_class"]) == 3
+    assert len(calls) == 2 * 3
+
+
+def test_report_bytes_independent_of_thread_cap(capsys, monkeypatch, mask_pair):
+    pred, gt = mask_pair
+    outputs = []
+    for cap in ("1", None):
+        if cap is None:
+            monkeypatch.delenv("ALIAS_SCOPE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ALIAS_SCOPE_THREADS", cap)
+        for argv in (["fold", "--freq", "0.4", "--stride", "2"], ["metrics", pred, gt]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
+
+
+def test_metrics_all_ignored_masks_report_nulls(capsys, tmp_path):
+    path = tmp_path / "ignored.npy"
+    write_npy(path, np.full((8, 8), 255, dtype=np.uint8))
+    result = run_json(capsys, "metrics", path, path)["result"]
+    assert result["n_classes"] == 0
+    assert result["per_class"] == {}
+    assert result["miou"] is None
+    assert set(result["mean"].values()) == {None}

@@ -12,11 +12,13 @@ from alias_scope.segmetrics import (
     boundary_acc,
     boundary_band,
     boundary_iou,
+    class_band_pairs,
     classify_boundary_pixels,
     contour,
     default_band_width,
     error_metrics,
     miou,
+    multiclass_boundary,
     multiclass_errors,
 )
 
@@ -281,7 +283,7 @@ def test_boundary_iou_bounded_and_tight(h, w, d, seed):
 def test_multiclass_perfect():
     labels = np.array([[0, 0, 1], [0, 2, 1], [2, 2, 1]], dtype=np.uint8)
     gt = LabelMask(labels)
-    breakdown = multiclass_errors(gt, gt, d=1)
+    breakdown = multiclass_errors(class_band_pairs(gt, gt, d=1))
     assert breakdown.ferr == 0.0
     assert breakdown.merr == 0.0
     assert set(breakdown.per_class) == {0, 1, 2}
@@ -290,7 +292,7 @@ def test_multiclass_perfect():
 def test_multiclass_skips_undefined():
     gt = LabelMask(np.array([[0, 0], [1, 1]], dtype=np.uint8))
     pred = LabelMask(np.array([[0, 0], [0, 0]], dtype=np.uint8))
-    breakdown = multiclass_errors(pred, gt, d=1)
+    breakdown = multiclass_errors(class_band_pairs(pred, gt, d=1))
     # class 1 has an empty prediction band: its ferr is undefined and the
     # average only covers class 0
     assert breakdown.per_class[1].ferr is None
@@ -302,11 +304,50 @@ def test_multiclass_single_class_reduces():
     labels[1:3, 1:3] = 1
     gt = LabelMask(labels)
     pred = LabelMask(np.roll(labels, 1, axis=1))
-    breakdown = multiclass_errors(pred, gt, d=1)
+    breakdown = multiclass_errors(class_band_pairs(pred, gt, d=1))
     single = error_metrics(
         bm(pred.data == 1), bm(gt.data == 1), d=1
     )
     assert breakdown.per_class[1] == single
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 11),
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_class_band_pairs_match_single_class_and_oracles(h, w, n_classes, d, seed):
+    rng = np.random.default_rng(seed)
+    pred = LabelMask(rng.integers(0, n_classes, (h, w)).astype(np.uint8))
+    gt = LabelMask(rng.integers(0, n_classes, (h, w)).astype(np.uint8))
+    pairs = class_band_pairs(pred, gt, d)
+    errors = multiclass_errors(pairs)
+    boundary = multiclass_boundary(pairs)
+    assert set(pairs) == set(np.unique(pred.data)) | set(np.unique(gt.data))
+    for c, pair in pairs.items():
+        p, g = pred.data == c, gt.data == c
+        rates = pair.rates()
+        assert rates == errors.per_class[c] == error_metrics(bm(p), bm(g), d)
+        assert (rates.ferr, rates.merr, rates.derr) == oracles.boundary_error_rates(
+            p, g, d
+        )
+        tags = pair.tags()
+        assert np.array_equal(tags, classify_boundary_pixels(bm(p), bm(g), d))
+        counts = tuple(int((tags == t).sum()) for t in (1, 2, 3))
+        assert counts == oracles.tag_counts(p, g, d)
+        biou = boundary.per_class_iou[c]
+        assert biou == boundary_iou(bm(p), bm(g), d) == oracles.boundary_iou_value(
+            p, g, d
+        )
+        bacc = boundary.per_class_acc[c]
+        assert bacc == boundary_acc(bm(p), bm(g), d) == oracles.boundary_acc_value(
+            p, g, d
+        )
+        baseline = oracles.boundary_error_rates(g, g, d)[2]
+        assert pair.derr_baseline() == error_metrics(bm(g), bm(g), d).derr == baseline
 
 
 # --- defaults
