@@ -19,7 +19,7 @@ from scipy import ndimage
 from .antialias import CutoffSpec, aliasing_score
 from .arrays import BinaryMask, FeatureTensor, LabelMask
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
-from .segmetrics import TAG_NAMES, class_band_pairs
+from .segmetrics import TAG_NAMES, BandPair
 
 THREADS_ENV = "ALIAS_SCOPE_THREADS"
 
@@ -195,23 +195,23 @@ def bin_by_score(
 
 
 def error_type_distribution(
-    pred: LabelMask,
-    gt: LabelMask,
+    pairs: dict[int, BandPair],
     score: ScoreMap,
     d: int,
     n_bins: int = 20,
 ) -> BinnedCurve:
     """Histogram of boundary error types per score bin.
 
-    Tags are computed per class and merged; a pixel keeps the tag of the
-    lowest class id that claims it.
+    `pairs` is `class_band_pairs(pred, gt, d)`.  Tags are computed per
+    class and merged; a pixel keeps the tag of the lowest class id that
+    claims it.
     """
-    if pred.data.shape != gt.data.shape or pred.data.shape != score.values.shape:
+    if any(pair.shape != score.values.shape for pair in pairs.values()):
         raise ShapeError("pred, gt, and score shapes must match")
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
-    merged = np.zeros(gt.data.shape, dtype=np.uint8)
-    for pair in class_band_pairs(pred, gt, d).values():
+    merged = np.zeros(score.values.shape, dtype=np.uint8)
+    for pair in pairs.values():
         merged = np.where(merged == 0, pair.tags(), merged)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     tagged = merged != 0

@@ -72,6 +72,7 @@ from .sampling import (
 )
 from .spectral import fft2, filter_frequency_response
 from .segmetrics import (
+    BandPair,
     boundary_band,
     class_band_pairs,
     default_band_width,
@@ -436,10 +437,16 @@ def cmd_metrics(args) -> None:
     _emit_json(args, _report(args, config, {"pred": args.pred, "gt": args.gt}, result))
 
 
-def _gt_boundary_union(gt: LabelMask, d: int) -> BinaryMask:
+def _gt_boundary_union(gt: LabelMask, d: int, pairs: dict[int, BandPair] | None) -> BinaryMask:
+    """Union of the gt class bands, taken from the band pairs when there are
+    any (a class present only in pred has an empty G_d)."""
     union = np.zeros(gt.data.shape, dtype=bool)
-    for c in gt.present_classes():
-        union |= boundary_band(class_mask(gt, c), d).band.bits
+    if pairs is None:
+        for c in gt.present_classes():
+            union |= boundary_band(class_mask(gt, c), d).band.bits
+    else:
+        for pair in pairs.values():
+            union |= pair.unpack(pair.g_d)
     return BinaryMask(union)
 
 
@@ -488,10 +495,8 @@ def cmd_analyze(args) -> None:
         probs = _load_feature(args.probs)
         inputs["probs"] = args.probs
         ce = pixel_cross_entropy(probs, gt)
-        mask = _gt_boundary_union(gt, d)
-        curve = bin_by_score(score_map, ce, mask, config.bins)
-        curves["boundary_cross_entropy"] = curve.rows()
 
+    pairs = None
     if args.pred is not None:
         if gt is None:
             raise InputError("--pred needs --gt")
@@ -499,7 +504,14 @@ def cmd_analyze(args) -> None:
         inputs["pred"] = args.pred
         if pred.data.shape != gt.data.shape:
             raise InputError("pred and gt shapes differ")
-        dist = error_type_distribution(pred, gt, score_map, d, config.bins)
+        pairs = class_band_pairs(pred, gt, d)
+
+    if args.probs is not None:
+        mask = _gt_boundary_union(gt, d, pairs)
+        curve = bin_by_score(score_map, ce, mask, config.bins)
+        curves["boundary_cross_entropy"] = curve.rows()
+    if pairs is not None:
+        dist = error_type_distribution(pairs, score_map, d, config.bins)
         curves["error_type_distribution"] = dist.rows()
 
     if config.out_format == "csv":

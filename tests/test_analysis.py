@@ -14,7 +14,7 @@ from alias_scope.analysis import (
 from alias_scope.antialias import CutoffSpec, aliasing_score
 from alias_scope.arrays import BinaryMask, FeatureTensor, LabelMask
 from alias_scope.errors import ShapeError, SizeError, ValidationError
-from alias_scope.segmetrics import boundary_band
+from alias_scope.segmetrics import boundary_band, class_band_pairs
 from alias_scope.synth import tone
 
 import oracles
@@ -214,7 +214,7 @@ def shifted_square_masks():
 def test_distribution_perfect_prediction_only_displacement():
     _, gt = shifted_square_masks()
     score = uniform_score_map(np.full((8, 8), 0.4))
-    curve = error_type_distribution(gt, gt, score, d=1, n_bins=4)
+    curve = error_type_distribution(class_band_pairs(gt, gt, 1), score, d=1, n_bins=4)
     assert curve.type_counts["false_response"].sum() == 0
     assert curve.type_counts["merging"].sum() == 0
     assert curve.type_counts["displacement"].sum() > 0
@@ -224,7 +224,7 @@ def test_distribution_empty_prediction_all_merging():
     _, gt = shifted_square_masks()
     pred = LabelMask(np.zeros((8, 8), dtype=np.uint8), ignore_value=None)
     score = uniform_score_map(np.full((8, 8), 0.1))
-    curve = error_type_distribution(pred, gt, score, d=1, n_bins=4)
+    curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=4)
     # class 0 covers everything in pred, so only the class-1 bands count
     g_d = boundary_band(BinaryMask(gt.data == 1), 1).band.count()
     assert curve.type_counts["merging"].sum() + curve.type_counts[
@@ -238,7 +238,7 @@ def test_distribution_two_tone_score_counts_match_oracle():
     values = np.zeros((8, 8))
     values[:, 4:] = 0.9  # right half in the high bin
     score = uniform_score_map(values)
-    curve = error_type_distribution(pred, gt, score, d=1, n_bins=2)
+    curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=2)
     # oracle: merge per-class tags, lowest class id wins
     merged = np.zeros((8, 8), dtype=int)
     for c in (0, 1):
@@ -259,7 +259,7 @@ def test_distribution_two_tone_score_counts_match_oracle():
 def test_distribution_conservation():
     pred, gt = shifted_square_masks()
     score = uniform_score_map(np.random.default_rng(3).uniform(0, 1, (8, 8)))
-    curve = error_type_distribution(pred, gt, score, d=2, n_bins=5)
+    curve = error_type_distribution(class_band_pairs(pred, gt, 2), score, d=2, n_bins=5)
     total_tagged = sum(c.sum() for c in curve.type_counts.values())
     assert curve.counts.sum() == total_tagged
 
@@ -267,14 +267,14 @@ def test_distribution_conservation():
 def test_distribution_deterministic():
     pred, gt = shifted_square_masks()
     score = uniform_score_map(np.random.default_rng(4).uniform(0, 1, (8, 8)))
-    a = error_type_distribution(pred, gt, score, d=1, n_bins=6)
-    b = error_type_distribution(pred, gt, score, d=1, n_bins=6)
+    a = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=6)
+    b = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=6)
     assert json.dumps(a.rows()) == json.dumps(b.rows())
 
 
 def test_distribution_fully_ignored_masks_count_nothing():
     ignored = LabelMask(np.full((6, 6), 255, dtype=np.uint8))
     score = uniform_score_map(np.full((6, 6), 0.3))
-    curve = error_type_distribution(ignored, ignored, score, d=1, n_bins=4)
+    curve = error_type_distribution(class_band_pairs(ignored, ignored, 1), score, d=1, n_bins=4)
     assert curve.counts.tolist() == [0, 0, 0, 0]
     assert all(c.tolist() == [0, 0, 0, 0] for c in curve.type_counts.values())

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from alias_scope import segmetrics
+from alias_scope import cli, segmetrics
 from alias_scope.arrays import read_npy, write_npy
 from alias_scope.cli import main
 from alias_scope.freqmix import WEIGHT_FIELDS
@@ -506,6 +513,7 @@ def _count_band_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(segmetrics, "boundary_band", counting)
+    monkeypatch.setattr(cli, "boundary_band", counting)
     return calls
 
 
@@ -543,6 +551,21 @@ def test_metrics_builds_two_bands_per_class(capsys, monkeypatch, three_class_pai
     assert len(calls) == 2 * 3
 
 
+def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three_class_pair):
+    pred, gt = three_class_pair
+    probs_path, score_path = tmp_path / "probs3.npy", tmp_path / "score3.npy"
+    write_npy(probs_path, np.full((3, 8, 8), 1 / 3))
+    write_npy(score_path, np.linspace(0.0, 1.0, 64).reshape(8, 8))
+    calls = _count_band_calls(monkeypatch)
+    report = run_json(
+        capsys, "analyze", "--score", score_path, "--probs", probs_path,
+        "--pred", pred, "--gt", gt, "--band-width", 1, "--bins", 2,
+    )
+    curves = set(report["result"]["curves"])
+    assert curves == {"boundary_cross_entropy", "error_type_distribution"}
+    assert len(calls) == 2 * 3
+
+
 def test_report_bytes_independent_of_thread_cap(capsys, monkeypatch, mask_pair):
     pred, gt = mask_pair
     outputs = []
@@ -566,3 +589,54 @@ def test_metrics_all_ignored_masks_report_nulls(capsys, tmp_path):
     assert result["per_class"] == {}
     assert result["miou"] is None
     assert set(result["mean"].values()) == {None}
+
+
+# --- fuzz: every input gives a strict-JSON report (exit 0) or exit 2
+
+
+@st.composite
+def label_pair(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    labels = hnp.arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 2, 255]))
+    return draw(labels), draw(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label_pair(),
+    st.sampled_from(["metrics", "analyze"]),
+    st.sampled_from([-3, 0, 1, 2, 7, 10**12]),
+    st.sampled_from([None, "small", "enough"]),
+    st.sampled_from([None, -1, 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cli_fuzz_segmentation_reports(masks, command, band_width, classes, ignore, seed):
+    pred, gt = masks
+    with tempfile.TemporaryDirectory() as tmp:
+        pred_path, gt_path = Path(tmp, "pred.npy"), Path(tmp, "gt.npy")
+        write_npy(pred_path, pred)
+        write_npy(gt_path, gt)
+        argv = ["--band-width", band_width]
+        if ignore is not None:
+            argv += ["--ignore-value", ignore]
+        if command == "metrics":
+            argv = ["metrics", pred_path, gt_path, *argv]
+            ignored = 255 if ignore is None else ignore
+            labels = np.concatenate([pred.ravel(), gt.ravel()])
+            top = int(labels[labels != ignored].max(initial=0))
+            if classes is not None:
+                argv += ["--classes", top if classes == "small" else top + 1]
+        else:
+            score_path = Path(tmp, "score.npy")
+            write_npy(score_path, np.random.default_rng(seed).uniform(0, 1, gt.shape))
+            argv = ["analyze", "--score", score_path, "--pred", pred_path, "--gt", gt_path,
+                    "--bins", 3, *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("alias-scope: error:")

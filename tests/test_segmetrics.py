@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,3 +383,79 @@ def test_brute_force_equivalence_sweep(d):
         mask_pred = LabelMask(pred.astype(np.uint8), ignore_value=None)
         mask_gt = LabelMask(gt.astype(np.uint8), ignore_value=None)
         assert miou(mask_pred, mask_gt, 2) == oracles.binary_miou(pred, gt)
+
+
+# --- boundary band against the all-pairs oracle
+
+
+@st.composite
+def band_cases(draw):
+    h = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    w = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill == "random":
+        mask = random_mask(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), h, w)
+    else:
+        mask = np.full((h, w), fill == "full")
+    d = draw(st.integers(1, h + w + 3))
+    return mask, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_cases())
+def test_band_matches_oracle(case):
+    mask, d = case
+    assert np.array_equal(boundary_band(bm(mask), d).band.bits, oracles.band_pixels(mask, d))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0)])
+def test_band_zero_size_mask_keeps_shape(shape):
+    band = boundary_band(bm(np.zeros(shape, dtype=bool)), d=3).band.bits
+    assert band.shape == shape
+    assert band.dtype == bool
+
+
+def test_band_huge_width_is_bounded_by_image():
+    mask = np.zeros((64, 64), dtype=bool)
+    mask[20:30, 35:50] = True
+    start = time.perf_counter()
+    band = boundary_band(bm(mask), d=10**12).band.bits
+    assert time.perf_counter() - start < 0.5
+    assert np.array_equal(band, oracles.band_pixels(mask, 10**12))
+    assert band.all()
+
+
+# --- mIoU against a per-class literal loop
+
+
+def miou_loop(pred, gt, n_classes, gt_classes_only, ignore):
+    ious = []
+    for c in range(n_classes):
+        inter = union = in_gt = 0
+        for p, g in zip(pred.flat, gt.flat):
+            if ignore is not None and ignore in (p, g):
+                continue
+            inter += p == c and g == c
+            union += p == c or g == c
+            in_gt += g == c
+        if in_gt if gt_classes_only else union:
+            ious.append(inter / union)
+    return sum(ious) / len(ious) if ious else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([None, 255, 1]),
+    st.integers(0, 3),
+)
+def test_miou_matches_per_class_loop(h, w, seed, gt_only, ignore, extra):
+    rng = np.random.default_rng(seed)
+    pred, gt = (rng.choice([0, 1, 2, 4, 255], size=(h, w)).astype(np.uint8) for _ in range(2))
+    labels = np.concatenate([pred.ravel(), gt.ravel()])
+    n_classes = int(labels[labels != ignore].max(initial=0)) + 1 + extra
+    got = miou(LabelMask(pred, ignore), LabelMask(gt, ignore), n_classes, gt_classes_only=gt_only)
+    assert got == miou_loop(pred, gt, n_classes, gt_only, ignore)
