@@ -4,7 +4,9 @@ cross-entropy, and binned statistics linking the two.
 The per-pixel score map is a declared reconstruction: scores are computed
 on sliding windows (window/stride/cutoff recorded in the map metadata),
 assigned to window centers, and spread to the remaining pixels by nearest
-computed center.
+computed center.  The centers form a grid (center rows x center columns),
+so a pixel's nearest center is its nearest center row crossed with its
+nearest center column, ties going to the lower one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .antialias import CutoffSpec, aliasing_score
 from .arrays import BinaryMask, FeatureTensor, LabelMask
@@ -72,6 +73,16 @@ def _window_starts(extent: int, window: int, stride: int) -> list[int]:
     return starts
 
 
+def _nearest(starts: list[int], window: int, extent: int) -> np.ndarray:
+    """Index of the nearest window center for each of `extent` pixels,
+    the lower center on a tie."""
+    centers = np.asarray(starts) + window // 2
+    # pixel p goes to center i+1 only when it lies strictly past the
+    # midpoint of centers i and i+1, that is 2p > c_i + c_{i+1}
+    midpoints = centers[:-1] + centers[1:]
+    return np.searchsorted(midpoints, 2 * np.arange(extent), side="left")
+
+
 def patch_aliasing_map(
     f: FeatureTensor, window: int, stride: int, cutoff: CutoffSpec
 ) -> ScoreMap:
@@ -104,13 +115,8 @@ def patch_aliasing_map(
     else:
         scores = [score_at(p) for p in positions]
 
-    values = np.full((h, w), np.nan)
-    for (y, x), s in zip(positions, scores):
-        values[y + window // 2, x + window // 2] = s
-    missing = np.isnan(values)
-    if missing.any():
-        _, (iy, ix) = ndimage.distance_transform_edt(missing, return_indices=True)
-        values = values[iy, ix]
+    grid = np.reshape(scores, (len(ys), len(xs)))
+    values = grid[np.ix_(_nearest(ys, window, h), _nearest(xs, window, w))]
     return ScoreMap(values, window, stride, cutoff.cutoff)
 
 
@@ -203,24 +209,29 @@ def error_type_distribution(
     """Histogram of boundary error types per score bin.
 
     `pairs` is `class_band_pairs(pred, gt, d)`.  Tags are computed per
-    class and merged; a pixel keeps the tag of the lowest class id that
-    claims it.
+    class and merged on the packed bits; a pixel keeps the tag of the
+    lowest class id that claims it.
     """
-    if any(pair.shape != score.values.shape for pair in pairs.values()):
+    h, w = score.values.shape
+    if any(pair.shape != (h, w) for pair in pairs.values()):
         raise ShapeError("pred, gt, and score shapes must match")
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
-    merged = np.zeros(score.values.shape, dtype=np.uint8)
-    for pair in pairs.values():
-        merged = np.where(merged == 0, pair.tags(), merged)
+    claimed = np.zeros((h, (w + 7) // 8), dtype=np.uint8)
+    merged = [claimed.copy() for _ in TAG_NAMES]
+    for c in sorted(pairs):
+        sets = pairs[c].error_sets()
+        for tagged, pixels in zip(merged, sets):
+            tagged |= pixels & ~claimed
+        for pixels in sets:
+            claimed |= pixels
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    tagged = merged != 0
-    idx = _bin_index(score.values[tagged], n_bins)
-    counts = np.bincount(idx, minlength=n_bins)
-    type_counts = {
-        name: np.bincount(idx[merged[tagged] == tag], minlength=n_bins)
-        for tag, name in TAG_NAMES.items()
-    }
+    type_counts = {}
+    for name, tagged in zip(TAG_NAMES.values(), merged):
+        pixels = np.unpackbits(tagged, axis=-1, count=w).view(bool)
+        idx = _bin_index(score.values[pixels], n_bins)
+        type_counts[name] = np.bincount(idx, minlength=n_bins)
+    counts = sum(type_counts.values())
     means = np.full(n_bins, np.nan)
     meta = dict(score.metadata())
     meta["band_width"] = d

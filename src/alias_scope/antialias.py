@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .arrays import FeatureTensor
 from .errors import InternalError, SpecError, UndefinedRatioError, ValidationError
@@ -123,6 +122,8 @@ def binomial_blur(f: FeatureTensor, size: int) -> FeatureTensor:
     The symmetric (edge-including) reflection preserves each channel's
     mean exactly, so the DC gain is 1.
     """
+    from scipy import ndimage  # imported here so other commands start without scipy
+
     row = _BINOMIAL_ROWS.get(size)
     if row is None:
         raise SpecError(f"blur size must be one of {sorted(_BINOMIAL_ROWS)}")

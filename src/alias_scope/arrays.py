@@ -9,6 +9,7 @@ little-endian, C order, restricted to the dtypes '<f4', '<f8', '|u1',
 from __future__ import annotations
 
 import ast
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -59,18 +60,18 @@ def read_npy(path) -> np.ndarray:
         if not isinstance(header, dict) or set(header) != keys:
             raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
         descr = header["descr"]
-        if descr not in _DESCR_TO_DTYPE:
+        if not isinstance(descr, str) or descr not in _DESCR_TO_DTYPE:
             raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
         if header["fortran_order"] is not False:
             raise FormatError(f"{path}: fortran_order must be False")
         shape = header["shape"]
         if not (
             isinstance(shape, tuple)
-            and all(isinstance(n, int) and n >= 0 for n in shape)
+            and all(type(n) is int and n >= 0 for n in shape)
         ):
             raise FormatError(f"{path}: bad shape {shape!r}")
         dtype = _DESCR_TO_DTYPE[descr]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # Python ints: no overflow, () gives 1
         expected = count * dtype.itemsize
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:
@@ -78,7 +79,10 @@ def read_npy(path) -> np.ndarray:
                 f"{path}: payload is {payload} bytes, expected {expected}"
             )
         arr = np.fromfile(fh, dtype=dtype, count=count)
-    return arr.reshape(shape)
+    try:
+        return arr.reshape(shape)
+    except ValueError as exc:  # a zero-size shape numpy cannot address
+        raise FormatError(f"{path}: shape {shape!r} is too large") from exc
 
 
 def write_npy(path, arr: np.ndarray) -> None:
@@ -193,7 +197,7 @@ class BinaryMask:
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValidationError(f"binary mask must be 2D, got shape {arr.shape}")
-        object.__setattr__(self, "bits", arr.astype(bool))
+        object.__setattr__(self, "bits", arr.astype(bool, copy=False))
 
     @property
     def height(self) -> int:

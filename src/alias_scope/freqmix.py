@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import expit
 
 from .antialias import CutoffSpec, daf
 from .arrays import FeatureTensor, read_npy
@@ -146,6 +144,8 @@ def freqmix_apply(
     f: FeatureTensor, cutoff: CutoffSpec, weights: FreqMixWeights
 ) -> FeatureTensor:
     """Recombine the two bands with sigmoid(channel) * sigmoid(spatial) gains."""
+    from scipy.special import expit  # imported here so other commands start without scipy
+
     weights.check_against(f)
     low, high = frequency_split(f, cutoff)
     low_gain = expit(weights.a_low_channel)[:, None, None] * expit(
@@ -160,6 +160,8 @@ def freqmix_apply(
 def _reflect_conv2d(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # correlation (no kernel flip) with edge-symmetric padding, matching the
     # usual conv-layer orientation
+    from scipy import ndimage  # imported here so other commands start without scipy
+
     return ndimage.correlate(plane, kernel, mode="reflect")
 
 

@@ -53,14 +53,17 @@ def default_band_width(height: int, width: int) -> int:
 def contour(mask: BinaryMask) -> BinaryMask:
     """Mask pixels with at least one 4-neighbor unset or out of bounds."""
     bits = mask.bits
-    padded = np.pad(bits, 1, mode="constant", constant_values=False)
-    interior = (
-        padded[:-2, 1:-1]
-        & padded[2:, 1:-1]
-        & padded[1:-1, :-2]
-        & padded[1:-1, 2:]
-    )
-    return BinaryMask(bits & ~interior)
+    # edge is built in place in one array: interior pixels (all four
+    # neighbors set) first, so the border rows and columns stay 0, then
+    # negated and anded with the mask
+    edge = np.zeros_like(bits)
+    core = edge[1:-1, 1:-1]
+    np.logical_and(bits[:-2, 1:-1], bits[2:, 1:-1], out=core)
+    core &= bits[1:-1, :-2]
+    core &= bits[1:-1, 2:]
+    np.logical_not(edge, out=edge)
+    edge &= bits
+    return BinaryMask(edge)
 
 
 @dataclass(frozen=True)

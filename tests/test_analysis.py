@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alias_scope import analysis
 from alias_scope.analysis import (
     ScoreMap,
     bin_by_score,
@@ -13,7 +16,7 @@ from alias_scope.analysis import (
 )
 from alias_scope.antialias import CutoffSpec, aliasing_score
 from alias_scope.arrays import BinaryMask, FeatureTensor, LabelMask
-from alias_scope.errors import ShapeError, SizeError, ValidationError
+from alias_scope.errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
 from alias_scope.segmetrics import boundary_band, class_band_pairs
 from alias_scope.synth import tone
 
@@ -81,6 +84,63 @@ def test_patch_map_independent_of_thread_count(monkeypatch):
     monkeypatch.setenv("ALIAS_SCOPE_THREADS", "4")
     threaded = patch_aliasing_map(f, 8, 4, QUARTER).values
     assert np.array_equal(serial, threaded)
+
+
+def _brute_force_fill(data, window, stride, score_of):
+    """Score every window, then give each pixel the score of the nearest
+    window center: Euclidean argmin over the centers in row-major order,
+    first minimum on a tie."""
+    _, h, w = data.shape
+
+    def starts(extent):
+        out = list(range(0, extent - window + 1, stride))
+        return out if out[-1] == extent - window else out + [extent - window]
+
+    centers, scores = [], []
+    for y in starts(h):
+        for x in starts(w):
+            centers.append((y + window // 2, x + window // 2))
+            scores.append(score_of(data[:, y : y + window, x : x + window]))
+    cy, cx = np.array(centers).T
+    py, px = np.indices((h, w)).reshape(2, -1, 1)
+    nearest = np.argmin((py - cy) ** 2 + (px - cx) ** 2, axis=1)
+    return np.array(scores)[nearest].reshape(h, w)
+
+
+def _real_window_score(patch):
+    try:
+        return aliasing_score(FeatureTensor(patch), QUARTER, mode="per_channel_mean")
+    except UndefinedRatioError:
+        return 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 19),
+    st.integers(1, 19),
+    st.integers(1, 19),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_patch_map_fill_matches_brute_force(h, w, window, stride, probe, seed):
+    # even strides put pixels halfway between two centers (ties), and a
+    # stride that does not divide h - window or w - window adds the clamped
+    # last window; with `probe` each window scores its own top-left pixel
+    # id, so every center is distinguishable and a wrong pick shows
+    window = min(window, h, w)
+    data = np.random.default_rng(seed).standard_normal((2, h, w))
+    score_of = _real_window_score
+    if probe:
+        data[0] = np.arange(h * w).reshape(h, w)
+        score_of = lambda patch: float(patch[0, 0, 0])  # noqa: E731
+    expected = _brute_force_fill(data, window, stride, score_of)
+    with pytest.MonkeyPatch.context() as mp:
+        if probe:
+            mp.setattr(analysis, "aliasing_score", lambda patch, cutoff, mode: score_of(patch.data))
+        got = patch_aliasing_map(FeatureTensor(data), window, stride, QUARTER).values
+    assert got.shape == (h, w)
+    assert np.array_equal(got, expected)
 
 
 def test_worker_count_env_cap(monkeypatch):
@@ -254,6 +314,44 @@ def test_distribution_two_tone_score_counts_match_oracle():
     for i, name in ((1, "false_response"), (2, "merging"), (3, "displacement")):
         assert curve.type_counts[name][0] == ((merged == i) & (values < 0.5)).sum()
         assert curve.type_counts[name][1] == ((merged == i) & (values >= 0.5)).sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 21),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_distribution_matches_per_pixel_merge(h, w, n_classes, d, n_bins, seed):
+    # widths that are not a multiple of 8 leave padding bits in the packed rows
+    rng = np.random.default_rng(seed)
+    labels = [0, 1, 2, 3][:n_classes] + [255]
+    gt = LabelMask(rng.choice(labels, (h, w)).astype(np.uint8))
+    pred = LabelMask(rng.choice(labels, (h, w)).astype(np.uint8))
+    values = rng.uniform(0.0, 1.0, (h, w))
+    curve = error_type_distribution(
+        class_band_pairs(pred, gt, d), uniform_score_map(values), d=d, n_bins=n_bins
+    )
+    merged = np.zeros((h, w), dtype=int)  # lowest class id claims a pixel first
+    for c in range(n_classes):
+        p, g = pred.data == c, gt.data == c
+        if not (p.any() or g.any()):
+            continue
+        p_d, g_d = oracles.band_pixels(p, d), oracles.band_pixels(g, d)
+        tags = np.zeros((h, w), dtype=int)
+        tags[p_d & ~g_d] = 1
+        tags[g_d & ~p_d] = 2
+        tags[(p_d & g_d) & ~(p & g)] = 3
+        merged = np.where(merged == 0, tags, merged)
+    bins = np.minimum((values * n_bins).astype(int), n_bins - 1)
+    for tag, name in ((1, "false_response"), (2, "merging"), (3, "displacement")):
+        want = np.bincount(bins[merged == tag], minlength=n_bins)
+        assert curve.type_counts[name].tolist() == want.tolist()
+    want = np.bincount(bins[merged != 0], minlength=n_bins)
+    assert curve.counts.tolist() == want.tolist()
 
 
 def test_distribution_conservation():

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope.arrays import (
@@ -13,6 +18,7 @@ from alias_scope.arrays import (
     save_array,
     write_npy,
 )
+from alias_scope.cli import main
 from alias_scope.errors import FormatError, UnsupportedDtypeError, ValidationError
 
 
@@ -201,3 +207,75 @@ def test_binary_mask_round_trip(tmp_path):
     back = load_array(path)
     assert isinstance(back, LabelMask)
     assert np.array_equal(back.data.astype(bool), bits)
+
+
+# --- fuzz: any header dict reads, or raises FormatError/UnsupportedDtypeError
+
+_DIMS = st.one_of(
+    st.integers(-2, 4),
+    st.booleans(),
+    st.sampled_from([10**30, 2**62, 2**63, 4611686018427387904]),
+)
+
+
+@st.composite
+def npy_header(draw):
+    descr = draw(
+        st.one_of(
+            st.sampled_from(["<f8", "<f4", "|u1", "<i4", "<u2"]),
+            st.sampled_from(["<i8", ">f8", "", ["<f8"], {}, 8, None, b"<f8", ("<f8",)]),
+        )
+    )
+    fortran = draw(st.one_of(st.just(False), st.sampled_from([True, 0, 1, None, "False"])))
+    shape = draw(
+        st.one_of(
+            st.tuples(*[_DIMS] * draw(st.integers(0, 3))),
+            st.sampled_from([[2, 2], 4, None, (2.0, 2)]),
+        )
+    )
+    return {"descr": descr, "fortran_order": fortran, "shape": shape}
+
+
+def _npy_bytes(header: dict, payload: bytes) -> bytes:
+    text = repr(header)
+    text += " " * ((-(10 + len(text) + 1)) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode() + payload
+
+
+def _f8_header(descr="<f8", shape=(2, 2)):
+    return {"descr": descr, "fortran_order": False, "shape": shape}
+
+
+@settings(max_examples=200, deadline=None)
+@given(npy_header(), st.sampled_from(["empty", "short", "exact", "long"]), st.integers(0, 2**32 - 1))
+@example(_f8_header(descr=["<f8"]), "exact", 0)
+@example(_f8_header(descr={}), "exact", 0)
+@example(_f8_header(shape=(True, True, True)), "exact", 0)
+@example(_f8_header(shape=(10**30, 4, 4)), "empty", 0)
+@example(_f8_header(shape=(4611686018427387904, 4, 4)), "empty", 0)
+@example(_f8_header(shape=(0, 2**63)), "exact", 0)
+def test_read_npy_header_fuzz(header, length, seed):
+    shape, descr = header["shape"], header["descr"]
+    itemsize = 8 if not isinstance(descr, str) else int(descr[-1:] or 8)
+    n = 1
+    if isinstance(shape, tuple):
+        for dim in shape:
+            n *= dim if isinstance(dim, int) else 1
+    exact = max(0, min(n * itemsize, 4096))
+    size = {"empty": 0, "short": max(0, exact - itemsize), "exact": exact, "long": exact + itemsize}[length]
+    payload = np.random.default_rng(seed).uniform(-1, 1, size).astype("<f8").tobytes()[:size]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "x.npy")
+        path.write_bytes(_npy_bytes(header, payload))
+        try:
+            arr = read_npy(path)
+        except (FormatError, UnsupportedDtypeError):
+            pass
+        else:  # only a well-formed header reads
+            assert isinstance(descr, str) and all(type(dim) is int for dim in shape)
+            assert arr.shape == shape
+            assert arr.nbytes == len(payload)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["score", str(path), "--cutoff", "0.25"])
+    assert code in (0, 2), err.getvalue()

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import alias_scope
 from alias_scope import cli, segmetrics
 from alias_scope.arrays import read_npy, write_npy
 from alias_scope.cli import main
@@ -640,3 +644,77 @@ def test_cli_fuzz_segmentation_reports(masks, command, band_width, classes, igno
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("alias-scope: error:")
+
+
+# --- start-up: only blur and freqmix load scipy
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from alias_scope.cli import main
+
+def run_all(commands):
+    codes = []
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(argv))
+    return codes
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+plain, scipy_users = json.loads(sys.argv[1])
+report = {"plain": run_all(plain), "scipy_after_plain": scipy_modules()}
+report["scipy_users"] = run_all(scipy_users)
+report["scipy_after_users"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_only_blur_and_freqmix_import_scipy(tmp_path):
+    feat, probs, score = tmp_path / "feat.npy", tmp_path / "probs.npy", tmp_path / "score.npy"
+    gt_path, pred_path, bank = tmp_path / "gt.npy", tmp_path / "pred.npy", tmp_path / "bank.npy"
+    write_npy(feat, white_noise((2, 16, 16), seed=7).data)
+    write_npy(probs, np.full((2, 16, 16), 0.5))
+    write_npy(score, np.linspace(0.0, 1.0, 256).reshape(16, 16))
+    gt = np.zeros((16, 16), dtype=np.uint8)
+    gt[4:12, 4:12] = 1
+    write_npy(gt_path, gt)
+    write_npy(pred_path, np.roll(gt, 1, axis=1))
+    write_npy(bank, np.eye(4).reshape(4, 2, 2))
+    weights = tmp_path / "weights"
+    weights.mkdir()
+    for name in WEIGHT_FIELDS:
+        shape = (2,) if name.endswith("channel") else (16, 16)
+        write_npy(weights / f"{name}.npy", np.zeros(shape))
+    out = lambda name: str(tmp_path / name)  # noqa: E731
+    labels = ["--pred", pred_path, "--gt", gt_path, "--band-width", 1, "--bins", 4]
+    plain = [
+        ["fold", "--freq", 0.4, "--stride", 2],
+        ["esr", "--kernel", 3, "--cin", 4, "--cout", 8, "--stride", 2],
+        ["score", feat, "--cutoff", 0.25],
+        ["daf", feat, "--cutoff", 0.25, "--out", out("daf.npy")],
+        ["split", feat, "--cutoff", 0.25, "--out-low", out("lo.npy"), "--out-high", out("hi.npy")],
+        ["noise", feat, "--sigma", 0.5, "--seed", 7, "--out", out("noise.npy")],
+        ["response", "--builtin", "binomial3", "--grid", 16],
+        ["orth", bank],
+        ["metrics", pred_path, gt_path, "--band-width", 1],
+        ["analyze", "--features", feat, "--probs", probs, *labels, "--cutoff", 0.25,
+         "--window", 8, "--stride-px", 6],
+        ["analyze", "--score", score, *labels],
+    ]
+    scipy_users = [
+        ["blur", feat, "--size", 3, "--out", out("blur.npy")],
+        ["freqmix", feat, "--cutoff", 0.25, "--weights-dir", weights, "--out", out("mix.npy")],
+    ]
+    argv = json.dumps([[[str(a) for a in cmd] for cmd in cmds] for cmds in (plain, scipy_users)])
+    src = str(Path(alias_scope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, argv], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert report["plain"] == [0] * len(plain)
+    assert report["scipy_after_plain"] == []
+    assert report["scipy_users"] == [0, 0]
+    assert "scipy.ndimage" in report["scipy_after_users"]  # the probe does see scipy
