@@ -2,8 +2,9 @@
 
 The aliasing score is the fraction of spectral power in the high band
 H(c) = {(k, l) : |k| > c or |l| > c}; the de-aliasing filter (daf) zeroes
-exactly that band in the Fourier domain.  The band boundary is strict:
-coefficients at |k| == c survive.
+exactly that band on the real half spectrum, so its output is real by
+construction.  The band boundary is strict: coefficients at |k| == c
+survive.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import FeatureTensor
-from .errors import InternalError, SpecError, UndefinedRatioError, ValidationError
-from .spectral import Spectrum, fft2, ifft2_complex, power_spectrum
+from .errors import SpecError, UndefinedRatioError, ValidationError
+from .spectral import FreqGrid, Spectrum, fft2, power_spectrum
 
 SCORE_MODES = ("per_channel_mean", "global")
 
@@ -44,11 +45,13 @@ def flc_cutoff(stride: int) -> CutoffSpec:
 
 
 def band_power(spec: Spectrum, cutoff: CutoffSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(high-band power, total power) per channel."""
+    """(high-band power, total power) per channel; ValidationError on overflow."""
     power = power_spectrum(spec)
     mask = spec.grid.high_band(cutoff.cutoff)
     high = power[:, mask].sum(axis=1)
     total = power.sum(axis=(1, 2))
+    if not np.isfinite(total.sum()):
+        raise ValidationError("spectral power overflows float64; rescale the features")
     return high, total
 
 
@@ -82,30 +85,19 @@ def aliasing_score(
     return score_from_power(*band_power(fft2(f), cutoff), mode)
 
 
-def per_channel_scores(f: FeatureTensor, cutoff: CutoffSpec) -> list[float | None]:
-    """Per-channel score list; None for zero-power channels."""
-    return channel_scores(*band_power(fft2(f), cutoff))
-
-
 def daf(f: FeatureTensor, cutoff: CutoffSpec) -> FeatureTensor:
     """De-aliasing filter: zero every coefficient in the high band.
 
     An ideal low-pass projection; the result has aliasing_score 0 at the
-    same cutoff and is idempotent.
+    same cutoff and is idempotent.  H(c) is symmetric under (k, l) -> (-k, -l),
+    so zeroing it on the rfft2 half spectrum (columns 0 .. W//2) of the
+    float64 data is the whole projection, and the output is real by construction.
     """
-    spec = fft2(f)
-    mask = spec.grid.high_band(cutoff.cutoff)
-    coeffs = spec.coeffs.copy()
-    coeffs[:, mask] = 0.0
-    out = ifft2_complex(Spectrum(coeffs))
-    scale = float(np.abs(f.data).max())
-    residue = float(np.abs(out.imag).max())
-    if scale > 0.0 and residue >= 1e-9 * scale:
-        raise InternalError(
-            f"de-aliased output has imaginary residue {residue:.3e} "
-            f"(limit {1e-9 * scale:.3e})"
-        )
-    return FeatureTensor(out.real)
+    data = f.data.astype(np.float64, copy=False)
+    h, w = data.shape[1:]
+    coeffs = np.fft.rfft2(data)
+    coeffs[:, FreqGrid(h, w).high_band(cutoff.cutoff)[:, : w // 2 + 1]] = 0.0
+    return FeatureTensor(np.fft.irfft2(coeffs, s=(h, w)))
 
 
 def binomial_kernel(size: int) -> np.ndarray:
@@ -137,6 +129,8 @@ def add_gaussian_noise(f: FeatureTensor, sigma: float, seed: int) -> FeatureTens
     """Add i.i.d. N(0, sigma^2) noise, deterministic for a given seed."""
     if sigma < 0:
         raise SpecError("sigma must be >= 0")
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     if sigma == 0:
         return FeatureTensor(f.data.astype(np.float64))
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import FeatureTensor
-from .errors import DegenerateFilterError, SpecError
+from .errors import DegenerateFilterError, SpecError, ValidationError
 
 from . import arrays
 
@@ -169,6 +169,8 @@ class FilterBank:
         arr = np.asarray(self.filters, dtype=np.float64)
         if arr.ndim != 2:
             raise SpecError(f"filter bank must be (count, length), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("filter bank contains NaN/Inf")
         object.__setattr__(self, "filters", arr)
 
     @property
@@ -191,10 +193,13 @@ def filter_bank_orthogonality(bank: FilterBank) -> tuple[np.ndarray, float]:
     """Pairwise |cosine similarity| matrix and its mean off-diagonal value."""
     if bank.count < 2:
         raise SpecError("orthogonality analysis needs at least 2 filters")
-    norms = np.linalg.norm(bank.filters, axis=1)
-    if np.any(norms == 0.0):
+    # |cosine| is scale-free; a peak |value| of 1 keeps x.x finite
+    peaks = np.abs(bank.filters).max(axis=1, initial=0.0)
+    if np.any(peaks == 0.0):
         raise DegenerateFilterError("filter bank contains a zero-norm filter")
-    gram = bank.filters @ bank.filters.T
+    unit = bank.filters / peaks[:, None]
+    norms = np.linalg.norm(unit, axis=1)
+    gram = unit @ unit.T
     matrix = np.abs(gram) / np.outer(norms, norms)
     np.fill_diagonal(matrix, 1.0)
     n = bank.count

@@ -4,7 +4,7 @@ Convention: the forward transform carries the full 1/(H*W) factor and the
 inverse carries none, so idft2(dft2(f)) == f and the total spatial power
 equals H*W times the total spectral power.  Frequencies are reported in
 signed normalized form: index i on an N-grid maps to i/N for i <= N/2 and
-to i/N - 1 otherwise, so |freq| never exceeds 1/2 and the single bin at
+to (i - N)/N otherwise, so |freq| never exceeds 1/2 and the single bin at
 the edge of an even grid is +1/2.
 
 The fast transforms are numpy.fft's under the same convention
@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import FeatureTensor
-from .errors import SizeError
+from .errors import SizeError, ValidationError
 
 
 def signed_frequencies(n: int) -> np.ndarray:
-    """Signed normalized frequency for each DFT bin of an n-point grid."""
+    """Signed normalized frequency for each DFT bin of an n-point grid.
+
+    Bins i and n - i get exactly opposite values, so |freq| masks are symmetric.
+    """
     idx = np.arange(n)
-    return np.where(idx <= n // 2, idx / n, idx / n - 1.0)
+    return np.where(idx <= n // 2, idx, idx - n) / n
 
 
 @dataclass(frozen=True)
@@ -147,4 +150,6 @@ def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
     padded = np.zeros((grid, grid), dtype=np.float64)
     padded[:kh, :kw] = kernel
     response = np.abs(np.fft.fft2(padded))
+    if not np.all(np.isfinite(response)):
+        raise ValidationError("kernel or its response is not finite")
     return center_shift(response)

@@ -16,7 +16,7 @@ from alias_scope.antialias import (
 from alias_scope.arrays import FeatureTensor
 from alias_scope.errors import SpecError, UndefinedRatioError, ValidationError
 from alias_scope.sampling import subsample
-from alias_scope.spectral import fft2, signed_frequencies
+from alias_scope.spectral import Spectrum, dft2_naive, fft2, ifft2, signed_frequencies
 from alias_scope.synth import one_over_f, tone, white_noise
 
 QUARTER = CutoffSpec(0.25)
@@ -121,6 +121,45 @@ def test_daf_float32_input_matches_float64_reference(shape):
     expected = np.fft.ifft2(coeffs).real
     out = daf(FeatureTensor(data), QUARTER).data
     assert np.abs(out - expected).max() < 1e-9 * np.abs(expected).max()
+
+
+@st.composite
+def daf_case(draw):
+    sizes = st.one_of(st.sampled_from([1, 2, 3, 4]), st.integers(1, 12))
+    h, w = draw(sizes), draw(sizes)
+    # bin-exact cutoffs j/N (that bin survives) and arbitrary ones in (0, 1/2]
+    on_bin = [j / n for n in (h, w) for j in range(1, n // 2 + 1)]
+    cutoffs = st.floats(1e-3, 0.5)
+    cutoff = draw(st.one_of(st.sampled_from(on_bin), cutoffs) if on_bin else cutoffs)
+    dtype = draw(st.sampled_from(["<f4", "<f8"]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (draw(st.integers(1, 3)), h, w)
+    )
+    return data.astype(dtype), cutoff
+
+
+@settings(max_examples=150, deadline=None)
+@given(daf_case())
+def test_daf_matches_masked_naive_dft(case):
+    data, cutoff = case
+    spec = dft2_naive(FeatureTensor(data.astype(np.float64)))
+    coeffs = spec.coeffs.copy()
+    coeffs[:, spec.grid.high_band(cutoff)] = 0.0
+    expected = ifft2(Spectrum(coeffs)).data
+    out = daf(FeatureTensor(data), CutoffSpec(cutoff)).data
+    assert out.dtype == np.float64 and out.shape == data.shape
+    assert np.abs(out - expected).max() <= 1e-9 * np.abs(data).max()
+
+
+@pytest.mark.parametrize("w", [2, 3, 5, 8, 9, 12])
+def test_daf_keeps_every_bin_exact_edge(w):
+    # a tone on bin j survives cutoff j/W, the next bin up is removed
+    for j in range(1, w // 2 + 1):
+        edge = tone((1, 3, w), freq_w=j / w)
+        assert np.abs(daf(edge, CutoffSpec(j / w)).data - edge.data).max() < 1e-9
+        if j + 1 <= w // 2:
+            above = tone((1, 3, w), freq_w=(j + 1) / w)
+            assert np.abs(daf(above, CutoffSpec(j / w)).data).max() < 1e-9
 
 
 def test_daf_idempotent():
@@ -237,3 +276,9 @@ def test_noise_raises_alias_score_every_trial():
         sigma = 0.05 * float(f.data.max() - f.data.min())
         noisy = add_gaussian_noise(f, sigma, seed=seed + 1000)
         assert aliasing_score(noisy, QUARTER) > aliasing_score(f, QUARTER)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_noise_negative_seed_rejected(sigma):
+    with pytest.raises(SpecError, match="seed"):
+        add_gaussian_noise(rand_tensor((1, 4, 4), 0), sigma, seed=-1)

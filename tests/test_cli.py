@@ -105,6 +105,20 @@ def test_esr_missing_flags(capsys):
 # --- score / daf round trip
 
 
+def test_bin_exact_cutoff_keeps_both_signed_bins(capsys, tmp_path):
+    # on a 3-grid every bin has |f| <= 1/3, so cutoff 1/3 keeps the whole
+    # spectrum, the +1/3 and -1/3 bins alike
+    feat, out = tmp_path / "w3.npy", tmp_path / "low.npy"
+    data = np.array([[[0.12573022, -0.13210486, 0.64042264]]])
+    write_npy(feat, data)
+    cutoff = 1 / 3
+    code, _, err = run(capsys, "daf", feat, "--cutoff", cutoff, "--out", out)
+    assert code == 0, err
+    assert np.abs(read_npy(out) - data).max() < 1e-12
+    report = run_json(capsys, "score", feat, "--cutoff", cutoff)
+    assert report["result"]["aliasing_score"] == 0.0
+
+
 def test_daf_then_score_is_zero(capsys, tmp_path, feature_file):
     out = tmp_path / "clean.npy"
     code, _, err = run(
@@ -188,6 +202,22 @@ def test_noise_seeded(capsys, tmp_path, feature_file):
     run(capsys, "noise", feature_file, "--sigma", 1.0, "--seed", 9, "--out", out1)
     run(capsys, "noise", feature_file, "--sigma", 1.0, "--seed", 9, "--out", out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_noise_negative_seed_rejected(capsys, tmp_path, feature_file, source):
+    out = tmp_path / "n.npy"
+    if source == "flag":
+        extra = ["--seed", -1]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[output]\nseed = -3\n")
+        extra = ["--config", cfg]
+    code, stdout, err = run(capsys, "noise", feature_file, "--sigma", 1.0, *extra, "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("alias-scope: error:") and "seed" in err
+    assert not out.exists()
 
 
 def test_freqmix_bypass_weights(capsys, tmp_path, feature_file):
@@ -347,6 +377,22 @@ def test_response_kernel_file(capsys, tmp_path):
     assert report["result"]["min"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kernel", [np.array([[np.nan, 1.0], [1.0, 1.0]]), np.full((3, 3), 1e308)],
+    ids=["nan-entry", "overflowing-response"],
+)
+def test_response_non_finite_rejected(capsys, tmp_path, kernel):
+    kfile, out_map = tmp_path / "k.npy", tmp_path / "resp.npy"
+    write_npy(kfile, kernel)
+    code, stdout, err = run(
+        capsys, "response", "--kernel-file", kfile, "--grid", 8, "--map-out", out_map
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("alias-scope: error:") and "not finite" in err
+    assert not out_map.exists()
+
+
 def test_response_unknown_builtin(capsys):
     code, _, err = run(capsys, "response", "--builtin", "box9", "--grid", 8)
     assert code == 2
@@ -369,6 +415,33 @@ def test_orth_zero_filter(capsys, tmp_path):
     write_npy(bank, np.zeros((3, 2, 2)))
     code, _, err = run(capsys, "orth", bank)
     assert code == 2
+
+
+def test_orth_report_independent_of_scale(capsys, tmp_path):
+    bank = np.random.default_rng(5).standard_normal((6, 3, 3, 3))
+    reports = []
+    for scale in (1.0, 1e200):
+        path = tmp_path / f"bank{scale:g}.npy"
+        write_npy(path, scale * bank)
+        code, out, err = run(capsys, "orth", path)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert "null" not in json.dumps(result)
+        reports.append(result)
+    small, large = reports
+    assert abs(small["mean_abs_cosine_similarity"] - large["mean_abs_cosine_similarity"]) < 1e-12
+    assert np.abs(np.array(small["matrix"]) - np.array(large["matrix"])).max() < 1e-12
+
+
+def test_orth_non_finite_bank_rejected(capsys, tmp_path):
+    bank = np.eye(4).reshape(4, 2, 2)
+    bank[1, 0, 1] = np.nan
+    path = tmp_path / "bank.npy"
+    write_npy(path, bank)
+    code, stdout, err = run(capsys, "orth", path)
+    assert code == 2
+    assert stdout == ""
+    assert "NaN/Inf" in err
 
 
 # --- fold
@@ -438,6 +511,23 @@ def test_non_numeric_config_cutoff_rejected(capsys, tmp_path, feature_file, sect
     code, _, err = run(capsys, "score", feature_file, "--config", cfg)
     assert code == 2
     assert "config cutoff." in err
+
+
+@pytest.mark.parametrize("command", ["score", "analyze"])
+def test_overflowing_spectral_power_rejected(capsys, tmp_path, command):
+    # finite features whose |F|^2 overflows float64: exit 2, never a null score
+    feat, probs, gt = tmp_path / "feat.npy", tmp_path / "probs.npy", tmp_path / "gt.npy"
+    write_npy(feat, 1e200 * white_noise((2, 8, 8), seed=3).data)
+    argv = ["score", feat]
+    if command == "analyze":
+        write_npy(probs, np.full((2, 8, 8), 0.5))
+        write_npy(gt, np.zeros((8, 8), dtype=np.uint8))
+        argv = ["analyze", "--features", feat, "--probs", probs, "--gt", gt,
+                "--window", 4, "--stride-px", 2]
+    code, stdout, err = run(capsys, *argv, "--cutoff", 0.25)
+    assert code == 2
+    assert stdout == ""
+    assert "overflows" in err
 
 
 def test_score_single_pass_matches_modes(capsys, feature_file):

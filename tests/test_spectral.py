@@ -47,6 +47,14 @@ def test_signed_frequencies_bounded(n):
     assert np.all(np.abs(freqs) <= 0.5)
 
 
+def test_signed_frequencies_exactly_antisymmetric():
+    # bins i and n - i must round to opposite values (2/3 - 1 != -1/3), or
+    # the band mask is asymmetric at bin-exact cutoffs such as 1/3 on a 3-grid
+    for n in range(1, 300):
+        freqs = signed_frequencies(n)
+        np.testing.assert_array_equal(np.abs(freqs[1:]), np.abs(freqs[1:][::-1]))
+
+
 # --- naive DFT oracle values
 
 
