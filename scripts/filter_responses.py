@@ -15,17 +15,13 @@ import numpy as np
 
 from alias_scope.antialias import binomial_kernel
 from alias_scope.arrays import write_npy
-from alias_scope.spectral import (
-    center_shift,
-    filter_frequency_response,
-    signed_frequencies,
-)
+from alias_scope.spectral import filter_frequency_response, signed_frequencies
 
 
 def ideal_band_map(cutoff: float, grid: int) -> np.ndarray:
     freqs = signed_frequencies(grid)
     keep = (np.abs(freqs)[:, None] <= cutoff) & (np.abs(freqs)[None, :] <= cutoff)
-    return center_shift(keep.astype(np.float64))
+    return np.fft.fftshift(keep.astype(np.float64), axes=(-2, -1))
 
 
 def main() -> int:

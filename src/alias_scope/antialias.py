@@ -46,10 +46,11 @@ def flc_cutoff(stride: int) -> CutoffSpec:
 
 def band_power(spec: Spectrum, cutoff: CutoffSpec) -> tuple[np.ndarray, np.ndarray]:
     """(high-band power, total power) per channel; ValidationError on overflow."""
-    power = power_spectrum(spec)
     mask = spec.grid.high_band(cutoff.cutoff)
-    high = power[:, mask].sum(axis=1)
-    total = power.sum(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        power = power_spectrum(spec)
+        high = power[:, mask].sum(axis=1)
+        total = power.sum(axis=(1, 2))
     if not np.isfinite(total.sum()):
         raise ValidationError("spectral power overflows float64; rescale the features")
     return high, total

@@ -4,7 +4,9 @@ Measuring subcommands (esr, score, metrics, analyze, orth, fold, response)
 print a JSON report to stdout or --out; transforming subcommands (daf,
 blur, noise, freqmix, split) write NPY files.  Reports embed the tool
 version, the resolved run configuration, and sha256 digests of every
-input, so identical invocations produce byte-identical output.
+input, so identical invocations produce byte-identical output.  Each
+subcommand accepts only the flags it reads: --format on the measuring
+commands, --seed on noise, --out everywhere but split.
 
 Exit codes: 0 success, 2 usage/input error, 3 internal invariant failure.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -32,6 +35,7 @@ from .analysis import (
     pixel_cross_entropy,
 )
 from .antialias import (
+    SCORE_MODES,
     CutoffSpec,
     add_gaussian_noise,
     band_power,
@@ -82,6 +86,7 @@ from .segmetrics import (
 )
 
 TOOL_NAME = "alias-scope"
+FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,11 @@ class RunConfig:
 
 
 def _load_config_file(path) -> dict[str, str]:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     flat = {}
     for section in parser.sections():
@@ -117,19 +122,26 @@ def _load_config_file(path) -> dict[str, str]:
     return flat
 
 
-def _cfg(args, key: str, cast, fallback, attr: str | None = None):
-    """Explicit flag > config file > fallback."""
+def _cfg(args, key: str, cast, fallback, attr: str | None = None, choices=None):
+    """Explicit flag > config file > fallback.
+
+    A config value must cast, and must be one of `choices` when those are
+    given; argparse already holds the flag to the same choices.
+    """
     attr = attr if attr is not None else key.split(".", 1)[1]
     value = getattr(args, attr, None)
     if value is not None:
         return value
     cfg = getattr(args, "_config", {})
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise InputError(f"config {key}={cfg[key]!r}: {exc}") from exc
-    return fallback
+    if key not in cfg:
+        return fallback
+    try:
+        value = cast(cfg[key])
+    except ValueError as exc:
+        raise InputError(f"config {key}={cfg[key]!r}: {exc}") from exc
+    if choices is not None and value not in choices:
+        raise InputError(f"config {key}={value!r}: expected one of {', '.join(choices)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +211,37 @@ def _resolve_cutoff(args, default: float | None = None) -> tuple[str, float]:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    return obj
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _run_config(args, cutoff_source: str = "none", cutoff: float | None = None) -> RunConfig:
     return RunConfig(
         cutoff_source=cutoff_source,
         cutoff=cutoff,
-        score_mode=_cfg(args, "score.mode", str, "per_channel_mean"),
+        score_mode=_cfg(args, "score.mode", str, "per_channel_mean", choices=SCORE_MODES),
         band_width=_cfg(args, "metrics.band_width", int, None),
         window=_cfg(args, "analysis.window", int, 32),
         stride=_cfg(args, "analysis.stride", int, 8, attr="stride_px"),
         bins=_cfg(args, "analysis.bins", int, 20),
-        out_format=_cfg(args, "output.format", str, "json", attr="format"),
+        out_format=_cfg(args, "output.format", str, "json", attr="format", choices=FORMATS),
         seed=_cfg(args, "output.seed", int, 0),
     )
 
 
-def _report(args, config: RunConfig, inputs: dict, result: dict) -> dict:
-    return {
+def _write(args, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _report_json(config: RunConfig, inputs: dict, result: dict) -> str:
+    """Strict, key-sorted JSON report of a measuring command, with the tool
+    version, resolved config and input digests.  Every measuring command
+    builds its report here; a non-JSON --format is an input error."""
+    if config.out_format != "json":
+        raise InputError("csv output is only available for binned curves (analyze)")
+    report = {
         "tool": TOOL_NAME,
         "version": __version__,
         "config": asdict(config),
@@ -239,50 +251,24 @@ def _report(args, config: RunConfig, inputs: dict, result: dict) -> dict:
         },
         "result": result,
     }
-
-
-def _emit_json(args, report: dict) -> None:
     try:
         text = json.dumps(
-            _jsonable(report), indent=2, sort_keys=True, allow_nan=False
-        ) + "\n"
+            report, indent=2, sort_keys=True, allow_nan=False, default=lambda a: a.tolist()
+        )
     except ValueError as exc:
         raise InternalError(f"report is not strict JSON: {exc}") from exc
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    return text + "\n"
 
 
-def _emit_curves_csv(args, curves: dict[str, list[dict]]) -> None:
-    fields = ["curve"]
-    for rows in curves.values():
-        for row in rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
+def _curves_csv(curves: dict[str, list[dict]]) -> str:
+    fields = ["curve", *dict.fromkeys(k for rows in curves.values() for row in rows for k in row)]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for name, rows in curves.items():
         for row in rows:
-            writer.writerow({"curve": name, **{k: _csv_cell(v) for k, v in row.items()}})
-    text = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    return value
-
-
-def _require_json(config: RunConfig) -> None:
-    if config.out_format != "json":
-        raise InputError("csv output is only available for binned curves (analyze)")
+            writer.writerow({"curve": name, **row})
+    return buf.getvalue()
 
 
 def _load_feature(path) -> FeatureTensor:
@@ -299,11 +285,10 @@ def _load_mask(path, ignore_value) -> LabelMask:
     return obj
 
 
-def _band_width_for(args, shape: tuple[int, int]) -> int:
-    d = _cfg(args, "metrics.band_width", int, None)
-    if d is None:
+def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
+    if config.band_width is None:
         return default_band_width(*shape)
-    return d
+    return config.band_width
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +298,23 @@ def _band_width_for(args, shape: tuple[int, int]) -> int:
 def cmd_esr(args) -> None:
     spec = _downsample_spec_from_args(args)
     config = _run_config(args, "esr", nyquist(spec))
-    _require_json(config)
     rate = esr(spec)
     rate_h, rate_w = esr_anisotropic(spec)
     result = {
         "esr": rate,
         "esr_h": rate_h,
         "esr_w": rate_w,
-        "nyquist": nyquist(spec),
+        "nyquist": config.cutoff,
         "stride_h": spec.stride_h,
         "stride_w": spec.stride_w,
         "kernel_smaller_than_stride": spec.kernel_smaller_than_stride,
     }
-    _emit_json(args, _report(args, config, {}, result))
+    _write(args, _report_json(config, {}, result))
 
 
 def cmd_score(args) -> None:
     source, cutoff = _resolve_cutoff(args)
     config = _run_config(args, source, cutoff)
-    _require_json(config)
     f = _load_feature(args.input)
     high, total = band_power(fft2(f), CutoffSpec(cutoff))
     result = {
@@ -343,7 +326,7 @@ def cmd_score(args) -> None:
         "cutoff": cutoff,
         "cutoff_source": source,
     }
-    _emit_json(args, _report(args, config, {"input": args.input}, result))
+    _write(args, _report_json(config, {"input": args.input}, result))
 
 
 def _require_out(args) -> str:
@@ -392,7 +375,6 @@ def cmd_freqmix(args) -> None:
 
 def cmd_metrics(args) -> None:
     config = _run_config(args)
-    _require_json(config)
     ignore = args.ignore_value
     pred = _load_mask(args.pred, ignore)
     gt = _load_mask(args.gt, ignore)
@@ -402,12 +384,12 @@ def cmd_metrics(args) -> None:
     n_classes = args.classes if args.classes is not None else (max(classes) + 1 if classes else 0)
     pred.validate_classes(n_classes)
     gt.validate_classes(n_classes)
-    d = _band_width_for(args, gt.data.shape)
+    d = _band_width_for(config, gt.data.shape)
     pairs = class_band_pairs(pred, gt, d)
     errors = multiclass_errors(pairs)
     boundary = multiclass_boundary(pairs)
     per_class = {
-        c: {
+        str(c): {
             **asdict(errors.per_class[c]),
             "derr_perfect_baseline": pair.derr_baseline(),
             "biou": boundary.per_class_iou[c],
@@ -428,7 +410,7 @@ def cmd_metrics(args) -> None:
             "bacc": boundary.bacc,
         },
     }
-    _emit_json(args, _report(args, config, {"pred": args.pred, "gt": args.gt}, result))
+    _write(args, _report_json(config, {"pred": args.pred, "gt": args.gt}, result))
 
 
 def _gt_boundary_union(gt: LabelMask, d: int, pairs: dict[int, BandPair] | None) -> BinaryMask:
@@ -480,7 +462,7 @@ def cmd_analyze(args) -> None:
         inputs["gt"] = args.gt
         if gt.data.shape != score_map.values.shape:
             raise InputError("gt shape does not match the score map")
-    d = _band_width_for(args, score_map.values.shape)
+    d = _band_width_for(config, score_map.values.shape)
     result["band_width"] = d
 
     if args.probs is not None:
@@ -511,15 +493,14 @@ def cmd_analyze(args) -> None:
     if config.out_format == "csv":
         if not curves:
             raise InputError("csv output needs at least one curve (--probs/--pred)")
-        _emit_curves_csv(args, curves)
+        _write(args, _curves_csv(curves))
         return
     result["curves"] = curves
-    _emit_json(args, _report(args, config, inputs, result))
+    _write(args, _report_json(config, inputs, result))
 
 
 def cmd_response(args) -> None:
     config = _run_config(args)
-    _require_json(config)
     inputs = {}
     if (args.builtin is None) == (args.kernel_file is None):
         raise InputError("give exactly one of --builtin or --kernel-file")
@@ -535,8 +516,6 @@ def cmd_response(args) -> None:
         kernel = read_npy(args.kernel_file).astype(np.float64)
         inputs["kernel"] = args.kernel_file
     response = filter_frequency_response(kernel, args.grid)
-    if args.map_out:
-        write_npy(args.map_out, response)
     center = args.grid // 2
     result = {
         "grid": args.grid,
@@ -545,12 +524,14 @@ def cmd_response(args) -> None:
         "max": float(response.max()),
         "map_out": str(args.map_out) if args.map_out else None,
     }
-    _emit_json(args, _report(args, config, inputs, result))
+    report = _report_json(config, inputs, result)  # a rejected --format writes no map
+    if args.map_out:
+        write_npy(args.map_out, response)
+    _write(args, report)
 
 
 def cmd_orth(args) -> None:
     config = _run_config(args)
-    _require_json(config)
     bank = FilterBank.from_npy(args.bank)
     matrix, mean_off = filter_bank_orthogonality(bank)
     result = {
@@ -558,19 +539,18 @@ def cmd_orth(args) -> None:
         "mean_abs_cosine_similarity": mean_off,
         "matrix": matrix,
     }
-    _emit_json(args, _report(args, config, {"bank": args.bank}, result))
+    _write(args, _report_json(config, {"bank": args.bank}, result))
 
 
 def cmd_fold(args) -> None:
     config = _run_config(args)
-    _require_json(config)
     folded = predicted_alias_frequency(args.freq, args.stride)
     result = {
         "input_frequency": args.freq,
         "stride": args.stride,
         "folded_frequency": folded,
     }
-    _emit_json(args, _report(args, config, {}, result))
+    _write(args, _report_json(config, {}, result))
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +578,8 @@ def _add_esr_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--out-w", type=int)
 
 
+@functools.cache  # main() may run many times in one process
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the report/array here instead of stdout")
-    common.add_argument("--format", dest="format", choices=["json", "csv"])
-    common.add_argument("--config", help="key=value section config file")
-    common.add_argument("--seed", type=int)
-
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="Aliasing analysis for downsampling operators and "
@@ -613,46 +588,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("esr", parents=[common], help="equivalent sampling rate")
+    def command(name, func, help, *, report=False, out=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value section config file")
+        if out:
+            p.add_argument("--out", help="write the report/array here instead of stdout")
+        if report:
+            p.add_argument("--format", choices=FORMATS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("esr", cmd_esr, "equivalent sampling rate", report=True)
     _add_esr_flags(p)
-    p.set_defaults(func=cmd_esr)
 
-    p = sub.add_parser("score", parents=[common], help="aliasing score of a tensor")
+    p = command("score", cmd_score, "aliasing score of a tensor", report=True)
     p.add_argument("input")
-    p.add_argument("--mode", choices=["per_channel_mean", "global"])
+    p.add_argument("--mode", choices=SCORE_MODES)
     _add_cutoff_flags(p)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("daf", parents=[common], help="ideal de-aliasing filter")
+    p = command("daf", cmd_daf, "ideal de-aliasing filter")
     p.add_argument("input")
     _add_cutoff_flags(p)
-    p.set_defaults(func=cmd_daf)
 
-    p = sub.add_parser("split", parents=[common], help="low/high band split")
+    p = command("split", cmd_split, "low/high band split", out=False)
     p.add_argument("input")
     p.add_argument("--out-low", required=True)
     p.add_argument("--out-high", required=True)
     _add_cutoff_flags(p)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("blur", parents=[common], help="binomial blur baseline")
+    p = command("blur", cmd_blur, "binomial blur baseline")
     p.add_argument("input")
     p.add_argument("--size", type=int, choices=[3, 5, 7], default=3)
-    p.set_defaults(func=cmd_blur)
 
-    p = sub.add_parser("noise", parents=[common], help="seeded Gaussian noise")
+    p = command("noise", cmd_noise, "seeded Gaussian noise")
     p.add_argument("input")
     p.add_argument("--sigma", type=float, required=True)
-    p.set_defaults(func=cmd_noise)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("freqmix", parents=[common], help="frequency mixing forward pass")
+    p = command("freqmix", cmd_freqmix, "frequency mixing forward pass")
     p.add_argument("input")
     p.add_argument("--weights-dir", help="directory of weight-logit NPY files")
     p.add_argument("--params-dir", help="directory of prediction-head NPY files")
     _add_cutoff_flags(p)
-    p.set_defaults(func=cmd_freqmix)
 
-    p = sub.add_parser("metrics", parents=[common], help="segmentation metrics")
+    p = command("metrics", cmd_metrics, "segmentation metrics", report=True)
     p.add_argument("pred")
     p.add_argument("gt")
     p.add_argument("--classes", type=int)
@@ -660,9 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore-value", type=int, default=255)
     p.add_argument("--all-classes", action="store_true",
                    help="average IoU over all classes, not just those in gt")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("analyze", parents=[common], help="score/error correlation")
+    p = command("analyze", cmd_analyze, "score/error correlation", report=True)
     p.add_argument("--features", help="feature tensor NPY for the score map")
     p.add_argument("--score", help="precomputed 2D score map NPY")
     p.add_argument("--probs", help="per-class probability tensor NPY")
@@ -675,30 +653,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-width", dest="band_width", type=int)
     p.add_argument("--ignore-value", type=int, default=255)
     _add_cutoff_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("response", parents=[common], help="filter frequency response")
+    p = command("response", cmd_response, "filter frequency response", report=True)
     p.add_argument("--builtin", help="binomial3 | binomial5 | binomial7")
     p.add_argument("--kernel-file", help="2D kernel NPY")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--map-out", help="write the centered magnitude map NPY here")
-    p.set_defaults(func=cmd_response)
 
-    p = sub.add_parser("orth", parents=[common], help="filter bank orthogonality")
+    p = command("orth", cmd_orth, "filter bank orthogonality", report=True)
     p.add_argument("bank")
-    p.set_defaults(func=cmd_orth)
 
-    p = sub.add_parser("fold", parents=[common], help="predicted alias frequency")
+    p = command("fold", cmd_fold, "predicted alias frequency", report=True)
     p.add_argument("--freq", type=float, required=True)
     p.add_argument("--stride", type=int, required=True)
-    p.set_defaults(func=cmd_fold)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args._config = _load_config_file(args.config) if args.config else {}
         args.func(args)

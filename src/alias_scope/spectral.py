@@ -129,12 +129,6 @@ def power_spectrum(spec: Spectrum) -> np.ndarray:
     return np.abs(spec.coeffs) ** 2
 
 
-def center_shift(arr: np.ndarray) -> np.ndarray:
-    """Roll a 2D frequency map so the DC bin sits at the center."""
-    h, w = arr.shape[-2], arr.shape[-1]
-    return np.roll(arr, (h // 2, w // 2), axis=(-2, -1))
-
-
 def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
     """Magnitude response of a 2D kernel on an N x N grid, DC at the center.
 
@@ -149,7 +143,8 @@ def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
         raise SizeError(f"kernel {kernel.shape} larger than {grid}x{grid} grid")
     padded = np.zeros((grid, grid), dtype=np.float64)
     padded[:kh, :kw] = kernel
-    response = np.abs(np.fft.fft2(padded))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
+        response = np.abs(np.fft.fft2(padded))
     if not np.all(np.isfinite(response)):
         raise ValidationError("kernel or its response is not finite")
-    return center_shift(response)
+    return np.fft.fftshift(response, axes=(-2, -1))

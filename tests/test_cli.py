@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -808,3 +809,224 @@ def test_only_blur_and_freqmix_import_scipy(tmp_path):
     assert report["scipy_after_plain"] == []
     assert report["scipy_users"] == [0, 0]
     assert "scipy.ndimage" in report["scipy_after_users"]  # the probe does see scipy
+
+
+# --- command contract: per-command flags, one report path, config checks
+
+MEASURING = ("esr", "score", "metrics", "analyze", "response", "orth", "fold")
+TRANSFORMS = ("daf", "split", "blur", "noise", "freqmix")
+
+
+@pytest.fixture(scope="module")
+def command_argv(tmp_path_factory):
+    """A valid argument vector for every subcommand, on small inputs."""
+    tmp = tmp_path_factory.mktemp("commands")
+    feat, probs, bank = tmp / "feat.npy", tmp / "probs.npy", tmp / "bank.npy"
+    gt_path, pred_path = tmp / "gt.npy", tmp / "pred.npy"
+    write_npy(feat, white_noise((2, 16, 16), seed=7).data)
+    write_npy(probs, np.full((2, 16, 16), 0.5))
+    gt = np.zeros((16, 16), dtype=np.uint8)
+    gt[4:12, 4:12] = 1
+    write_npy(gt_path, gt)
+    write_npy(pred_path, np.roll(gt, 1, axis=1))
+    write_npy(bank, np.eye(4).reshape(4, 2, 2))
+    weights = tmp / "weights"
+    weights.mkdir()
+    for name in WEIGHT_FIELDS:
+        write_npy(weights / f"{name}.npy", np.zeros((2,) if name.endswith("channel") else (16, 16)))
+    argv = {
+        "esr": ["esr", "--kernel", 3, "--cin", 4, "--cout", 8, "--stride", 2],
+        "score": ["score", feat, "--cutoff", 0.25],
+        "daf": ["daf", feat, "--cutoff", 0.25, "--out", tmp / "daf.npy"],
+        "split": ["split", feat, "--cutoff", 0.25,
+                  "--out-low", tmp / "lo.npy", "--out-high", tmp / "hi.npy"],
+        "blur": ["blur", feat, "--out", tmp / "blur.npy"],
+        "noise": ["noise", feat, "--sigma", 0.5, "--out", tmp / "noise.npy"],
+        "freqmix": ["freqmix", feat, "--weights-dir", weights, "--out", tmp / "mix.npy"],
+        "metrics": ["metrics", pred_path, gt_path],
+        "analyze": ["analyze", "--features", feat, "--probs", probs, "--pred", pred_path,
+                    "--gt", gt_path, "--cutoff", 0.25, "--window", 8, "--stride-px", 4,
+                    "--bins", 4],
+        "response": ["response", "--builtin", "binomial3", "--grid", 16],
+        "orth": ["orth", bank],
+        "fold": ["fold", "--freq", 0.4, "--stride", 2],
+    }
+    return {name: [str(a) for a in args] for name, args in argv.items()}
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+NO_OP_FLAGS = (
+    [(c, "--seed", "3") for c in (*MEASURING, "daf", "split", "blur", "freqmix")]
+    + [(c, "--format", "json") for c in TRANSFORMS]
+    + [("split", "--out", "unused.npy")]
+)
+
+
+@pytest.mark.parametrize("command, flag, value", NO_OP_FLAGS)
+def test_no_op_flag_rejected(capsys, command_argv, command, flag, value):
+    argv = command_argv[command]
+    assert _main_captured(argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    # split's --out is now an ambiguous prefix of --out-low/--out-high
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "ambiguous option: --out" in err
+
+
+@pytest.mark.parametrize("command", [*MEASURING, *TRANSFORMS])
+def test_subcommand_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: alias-scope {command}")
+    assert ("--seed" in text) == (command == "noise")
+    assert ("--format" in text) == (command in MEASURING)
+    assert ("--out OUT" in text) == (command != "split")
+    assert "--config" in text
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", [*MEASURING, *TRANSFORMS])
+def test_repeated_main_calls_identical(command_argv, command):
+    argv = command_argv[command]
+    outputs = [argv[argv.index(flag) + 1] for flag in ("--out", "--out-low", "--out-high")
+               if flag in argv]
+    runs = []
+    for _ in range(2):
+        code, out, err = _main_captured(argv)
+        assert code == 0, err
+        runs.append((out, err, [Path(p).read_bytes() for p in outputs]))
+    assert runs[0] == runs[1]
+    assert bool(runs[0][0]) == (command in MEASURING)
+
+
+def test_metrics_per_class_keys_sort_as_strings(capsys, tmp_path):
+    gt = np.zeros((12, 12), dtype=np.uint8)
+    gt[2:6, 2:6] = 2
+    gt[7:11, 3:10] = 10
+    gt_path, pred_path = tmp_path / "gt.npy", tmp_path / "pred.npy"
+    write_npy(gt_path, gt)
+    write_npy(pred_path, np.roll(gt, 1, axis=0))
+    code, out, err = run(capsys, "metrics", pred_path, gt_path, "--band-width", 1)
+    assert code == 0, err
+    assert list(json.loads(out)["result"]["per_class"]) == ["0", "10", "2"]
+    assert out.index('"10": {') < out.index('"2": {')
+
+
+@pytest.mark.parametrize("command, code", [("score", 2), ("fold", 0)])
+def test_config_percent_is_literal(capsys, tmp_path, command_argv, command, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[cutoff]\nvalue = 25%\n")
+    argv = [a for a in command_argv[command] if a not in ("--cutoff", "0.25")]
+    got, out, err = run(capsys, *argv, "--config", cfg)
+    assert got == code, err
+    if code == 2:
+        assert out == ""
+        assert err == (
+            "alias-scope: error: config cutoff.value='25%': "
+            "could not convert string to float: '25%'\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("analyze", "[output]\nformat = xml\n", "output.format"),
+     ("fold", "[output]\nformat = xml\n", "output.format"),
+     ("metrics", "[score]\nmode = bogus\n", "score.mode"),
+     ("score", "[score]\nmode = bogus\n", "score.mode")],
+)
+def test_config_choice_keys_checked(capsys, tmp_path, command_argv, command, section, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(section)
+    code, out, err = run(capsys, *command_argv[command], "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"alias-scope: error: config {key}=") and "expected one of" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_csv_outside_analyze_writes_nothing(capsys, tmp_path, command_argv, source):
+    cfg, out_map, report = tmp_path / "run.cfg", tmp_path / "resp.npy", tmp_path / "r.json"
+    cfg.write_text("[output]\nformat = csv\n")
+    extra = ["--format", "csv"] if source == "flag" else ["--config", cfg]
+    code, out, err = run(
+        capsys, *command_argv["response"], "--map-out", out_map, "--out", report, *extra
+    )
+    assert code == 2
+    assert out == "" and "csv output" in err
+    assert not out_map.exists() and not report.exists()
+
+
+def test_overflow_rejections_print_no_warnings(tmp_path):
+    # the finiteness checks give exit 2; numpy must not warn on the way there
+    feat, kernel = tmp_path / "feat.npy", tmp_path / "k.npy"
+    write_npy(feat, 1e200 * white_noise((2, 8, 8), seed=3).data)
+    write_npy(kernel, np.full((3, 3), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["score", feat, "--cutoff", 0.25],
+                     ["response", "--kernel-file", kernel, "--grid", 8]):
+            code, out, err = _main_captured([str(a) for a in argv])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("alias-scope: error:") and err.count("\n") == 1
+
+
+CONFIG_KEYS = {
+    "cutoff": ["value", "flc_stride"],
+    "score": ["mode"],
+    "metrics": ["band_width"],
+    "analysis": ["window", "stride", "bins"],
+    "output": ["format", "seed"],
+}
+_line_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=8)
+_config_value = st.one_of(
+    st.sampled_from(["json", "csv", "xml", "global", "per_channel_mean", "bogus", "25%",
+                     "%(x)s", "%%", "0.25", "nan", "-inf", "1e400", "", '"0.25"', "'3'"]),
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    _line_text,
+)
+_config_entry = st.tuples(
+    st.one_of(st.sampled_from([*CONFIG_KEYS, "DEFAULT", "bogus"]), _line_text),
+    st.one_of(st.sampled_from([k for keys in CONFIG_KEYS.values() for k in keys]), _line_text),
+    _config_value,
+)
+_config_text = st.one_of(
+    st.lists(_config_entry, max_size=6).map(
+        lambda entries: "".join(f"[{s}]\n{k} = {v}\n" for s, k, v in entries)
+    ),
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([*MEASURING, *TRANSFORMS]), _config_text)
+def test_cli_fuzz_config_files(command_argv, command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "run.cfg")
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = _main_captured([*command_argv[command], "--config", str(cfg)])
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("alias-scope: error:")
+    elif command in TRANSFORMS:
+        assert out == ""
+    elif out.startswith("curve,"):
+        assert command == "analyze"
+    else:
+        config = json.loads(out, parse_constant=_reject_constant)["config"]
+        assert config["score_mode"] in ("per_channel_mean", "global")
+        assert config["out_format"] == "json"
