@@ -20,7 +20,7 @@ import numpy as np
 from .antialias import CutoffSpec, aliasing_score
 from .arrays import BinaryMask, FeatureTensor, LabelMask
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
-from .segmetrics import TAG_NAMES, BandPair
+from .segmetrics import TAG_NAMES, BandPair, pack_rows, unpack_rows
 
 THREADS_ENV = "ALIAS_SCOPE_THREADS"
 
@@ -217,7 +217,7 @@ def error_type_distribution(
         raise ShapeError("pred, gt, and score shapes must match")
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
-    claimed = np.zeros((h, (w + 7) // 8), dtype=np.uint8)
+    claimed = pack_rows(np.zeros((h, w), dtype=bool))
     merged = [claimed.copy() for _ in TAG_NAMES]
     for c in sorted(pairs):
         sets = pairs[c].error_sets()
@@ -228,7 +228,7 @@ def error_type_distribution(
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     type_counts = {}
     for name, tagged in zip(TAG_NAMES.values(), merged):
-        pixels = np.unpackbits(tagged, axis=-1, count=w).view(bool)
+        pixels = unpack_rows(tagged, w)
         idx = _bin_index(score.values[pixels], n_bins)
         type_counts[name] = np.bincount(idx, minlength=n_bins)
     counts = sum(type_counts.values())

@@ -181,7 +181,12 @@ class LabelMask:
             )
 
     def present_classes(self) -> list[int]:
-        labels = np.unique(self.data)
+        if self.data.dtype.itemsize <= 2:
+            # |u1 and <u2 labels need at most 65536 bins; an <i4 label can
+            # be up to 2**31 - 1, so it stays with np.unique
+            labels = np.flatnonzero(np.bincount(self.data.ravel()))
+        else:
+            labels = np.unique(self.data)
         if self.ignore_value is not None:
             labels = labels[labels != self.ignore_value]
         return [int(v) for v in labels]
@@ -245,8 +250,8 @@ def save_array(obj, path) -> None:
 
 
 def class_mask(mask: LabelMask, class_id: int) -> BinaryMask:
-    """Binary mask of pixels equal to class_id; ignored pixels are cleared."""
-    bits = mask.data == class_id
-    if mask.ignore_value is not None:
-        bits &= mask.data != mask.ignore_value
-    return BinaryMask(bits)
+    """Binary mask of pixels equal to class_id; ignored pixels are cleared,
+    so the mask of the ignore value itself is empty."""
+    if class_id == mask.ignore_value:
+        return BinaryMask(np.zeros(mask.data.shape, dtype=bool))
+    return BinaryMask(mask.data == class_id)

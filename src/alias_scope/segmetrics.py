@@ -16,8 +16,10 @@ masks), so reports pair it with derr at P = G, 1 - |G_d & G| / |G_d|.
 Bands are built once per class, by `band_pair`; the rates, error tags,
 BIoU, BAcc and baseline are all methods of the `BandPair` it returns.
 A band is the contour dilated by the radius-d disk of integer offsets,
-built from shifted ORs of boolean arrays (`boundary_band`); no distance
-transform is computed.
+built from shifted ORs on bit-packed rows (`boundary_band`); no distance
+transform is computed.  `pack_rows` fixes the one packed layout, 64
+pixels per little-endian uint64 word, which `BandPair` and the
+error-type histogram of `analysis` use as well.
 """
 
 from __future__ import annotations
@@ -50,20 +52,65 @@ def default_band_width(height: int, width: int) -> int:
     return max(1, round(DEFAULT_BAND_WIDTH * min(height, width) / REFERENCE_SCALE))
 
 
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(H, W) bool as (H, ceil(W / 64)) little-endian uint64 words: column
+    x is bit x % 64 of word x // 64, and row padding bits are 0."""
+    h, w = bits.shape
+    words = np.zeros((h, -(-w // 64) * 8), dtype=np.uint8)
+    words[:, : -(-w // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return words.view("<u8")
+
+
+def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of `pack_rows`: the first `width` columns as (H, W) bool.
+    Word arithmetic gives native-order words, so a big-endian host swaps
+    them back to `<u8` before reading the bytes."""
+    bytes_ = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(bytes_, axis=-1, count=width, bitorder="little").view(bool)
+
+
+def _shifted(words: np.ndarray, s: int) -> np.ndarray:
+    """C-contiguous packed rows moved s columns right (s > 0) or left
+    (s < 0); bits moved past either end of a row's words are dropped."""
+    q, r = divmod(abs(s), 64)
+    n = words.shape[1]
+    if q:
+        moved = np.zeros_like(words)
+        k = min(q, n)
+        if s > 0:
+            moved[:, k:] = words[:, : n - k]
+        else:
+            moved[:, : n - k] = words[:, k:]
+        words = moved
+        if not r:
+            return words
+    # the bit shift carries across words on the flattened rows; the carry
+    # out of a row's end word would enter the next row, so it is zeroed
+    if s > 0:
+        out, carry = words << r, words >> (64 - r)
+        carry[:, n - 1 :] = 0
+        out.reshape(-1)[1:] |= carry.reshape(-1)[:-1]
+    else:
+        out, carry = words >> r, words << (64 - r)
+        carry[:, :1] = 0
+        out.reshape(-1)[:-1] |= carry.reshape(-1)[1:]
+    return out
+
+
+def _contour_words(m: np.ndarray) -> np.ndarray:
+    """`contour` on packed rows: m & ~(up & down & left & right).  The
+    border rows of `core` stay 0, and the zero padding bits and dropped
+    shifts stand for the unset pixels outside the image."""
+    core = np.zeros_like(m)
+    np.bitwise_and(m[:-2], m[2:], out=core[1:-1])
+    core &= _shifted(m, 1)
+    core &= _shifted(m, -1)
+    return m & ~core
+
+
 def contour(mask: BinaryMask) -> BinaryMask:
     """Mask pixels with at least one 4-neighbor unset or out of bounds."""
-    bits = mask.bits
-    # edge is built in place in one array: interior pixels (all four
-    # neighbors set) first, so the border rows and columns stay 0, then
-    # negated and anded with the mask
-    edge = np.zeros_like(bits)
-    core = edge[1:-1, 1:-1]
-    np.logical_and(bits[:-2, 1:-1], bits[2:, 1:-1], out=core)
-    core &= bits[1:-1, :-2]
-    core &= bits[1:-1, 2:]
-    np.logical_not(edge, out=edge)
-    edge &= bits
-    return BinaryMask(edge)
+    return BinaryMask(unpack_rows(_contour_words(pack_rows(mask.bits)), mask.width))
 
 
 @dataclass(frozen=True)
@@ -81,30 +128,43 @@ def boundary_band(mask: BinaryMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand
     distance d of a contour pixel.
 
     Row offset dy takes a horizontal run of half-width isqrt(d^2 - dy^2),
-    which only grows as |dy| shrinks, so one run array is widened in place
-    while dy walks from d down to 0, and each step ORs it into the band
-    shifted by +-dy rows.  Both loops stop at the image extent.  Cost:
-    about 2*min(d, W-1) + 2*min(d, H-1) full-image boolean ORs, O(d*H*W)
-    byte operations, in three H x W boolean arrays whatever d is.
+    which only grows as |dy| shrinks, so the run is widened while dy walks
+    from d down to 0, and each step ORs it into the band shifted by +-dy
+    rows.  The run is the union of two one-sided runs, the contour
+    stretched right and left by the half-width a.  A one-sided run widens
+    to a + s with one OR of itself shifted by s columns, for any s <= a + 1,
+    so each distinct half-width costs two column shifts however far it
+    moves.  (A symmetric run grown from itself by +-s would lose pixels
+    near the row ends, whose path passes outside the image.)  Both loops
+    stop at the image extent.  Everything runs on `pack_rows` words, 64
+    pixels per uint64, and the band is unpacked once at the end: about
+    2*min(d, H-1) row-slice ORs plus three word ops per distinct
+    half-width, O(d*H*W/64) word operations.
     """
     if d < 1:
         raise ShapeError(f"band width must be >= 1, got {d}")
-    edge = contour(mask).bits
-    band = np.zeros_like(edge)
-    if not edge.any():
-        return BoundaryBand(mask, d, BinaryMask(band))
-    h, w = edge.shape
-    run = edge.copy()
+    h, w = mask.bits.shape
+    right = _contour_words(pack_rows(mask.bits))
+    if not right.any():
+        return BoundaryBand(mask, d, BinaryMask(np.zeros((h, w), dtype=bool)))
+    left, run = right.copy(), right
+    band = np.zeros_like(run)
     width = 0
     for dy in range(min(d, h - 1), -1, -1):
         reach = min(isqrt(d * d - dy * dy), w - 1)
-        for dx in range(width + 1, reach + 1):
-            run[:, dx:] |= edge[:, :-dx]
-            run[:, :-dx] |= edge[:, dx:]
-        width = reach
-        band[dy:] |= run[: h - dy]
-        band[: h - dy] |= run[dy:]
-    return BoundaryBand(mask, d, BinaryMask(band))
+        if width < reach:
+            while width < reach:
+                step = min(reach - width, width + 1)
+                right |= _shifted(right, step)
+                left |= _shifted(left, -step)
+                width += step
+            run = right | left
+        if dy:
+            band[dy:] |= run[: h - dy]
+            band[: h - dy] |= run[dy:]
+        else:
+            band |= run
+    return BoundaryBand(mask, d, BinaryMask(unpack_rows(band, w)))
 
 
 @dataclass(frozen=True)
@@ -120,10 +180,10 @@ def _count(packed: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class BandPair:
-    """One class's P, G, P_d and G_d, bit-packed along rows (np.packbits)
-    so a command can hold every class's pair at once: 19 classes at
-    512x1024 take 4.75 MiB, not 38 MiB.  Row padding bits are 0 in every
-    field, and each expression below ands with a field, so they stay 0.
+    """One class's P, G, P_d and G_d as `pack_rows` words, so a command
+    can hold every class's pair at once: 19 classes at 512x1024 take
+    4.75 MiB, not 38 MiB.  Row padding bits are 0 in every field, and each
+    expression below ands with a field, so they stay 0.
     """
 
     p: np.ndarray
@@ -154,7 +214,7 @@ class BandPair:
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """One of the fields (or an expression of them) as an (H, W) bool array."""
-        return np.unpackbits(packed, axis=-1, count=self.width).view(bool)
+        return unpack_rows(packed, self.width)
 
     def tags(self) -> np.ndarray:
         tags = np.zeros(self.shape, dtype=np.uint8)
@@ -183,7 +243,7 @@ def band_pair(pred: BinaryMask, gt: BinaryMask, d: int) -> BandPair:
     if pred.bits.shape != gt.bits.shape:
         raise ShapeError(f"mask shapes differ: {pred.bits.shape} vs {gt.bits.shape}")
     bands = (boundary_band(mask, d).band for mask in (pred, gt))
-    packed = (np.packbits(m.bits, axis=-1) for m in (pred, gt, *bands))
+    packed = (pack_rows(m.bits) for m in (pred, gt, *bands))
     return BandPair(*packed, pred.bits.shape[1])
 
 

@@ -200,6 +200,27 @@ def test_class_mask_partitions(h, w, n_classes, seed):
     assert (cover == 1).all()
 
 
+LABEL_POOLS = {"|u1": [0, 1, 3, 255], "<u2": [0, 3, 255, 65535], "<i4": [0, 3, 255, 2**30]}
+
+
+@st.composite
+def label_grids(draw):
+    dtype = draw(st.sampled_from(sorted(LABEL_POOLS)))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = st.sampled_from(LABEL_POOLS[dtype])
+    values = draw(st.lists(pool, min_size=h * w, max_size=h * w))
+    return np.array(values, dtype=dtype).reshape(h, w)
+
+
+@settings(max_examples=100)
+@given(label_grids(), st.sampled_from([None, 0, 255]))
+@example(np.array([[2**30, 7]], dtype="<i4"), None)
+@example(np.array([[2**30, 255]], dtype="<i4"), 255)
+def test_present_classes_matches_unique(data, ignore):
+    expected = [int(v) for v in np.unique(data) if v != ignore]
+    assert LabelMask(data, ignore).present_classes() == expected
+
+
 def test_binary_mask_round_trip(tmp_path):
     bits = np.array([[True, False], [False, True]])
     path = tmp_path / "b.npy"

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope.arrays import BinaryMask, LabelMask
@@ -22,6 +22,8 @@ from alias_scope.segmetrics import (
     miou,
     multiclass_boundary,
     multiclass_errors,
+    pack_rows,
+    unpack_rows,
 )
 
 import oracles
@@ -34,6 +36,10 @@ def bm(bits) -> BinaryMask:
 def random_mask(rng, h, w, density=None) -> np.ndarray:
     p = rng.uniform(0.2, 0.8) if density is None else density
     return rng.random((h, w)) < p
+
+
+# row widths on either side of the 64-bit word boundaries of packed rows
+WORD_EDGE_WIDTHS = [63, 64, 65, 127, 128, 129]
 
 
 def shifted_square_pair():
@@ -66,10 +72,31 @@ def test_contour_empty():
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@given(
+    st.integers(1, 7),
+    st.one_of(st.integers(1, 7), st.sampled_from(WORD_EDGE_WIDTHS)),
+    st.integers(0, 2**32 - 1),
+)
 def test_contour_matches_oracle(h, w, seed):
     mask = random_mask(np.random.default_rng(seed), h, w)
     assert np.array_equal(contour(bm(mask)).bits, oracles.contour_pixels(mask))
+
+
+# --- packed rows
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 4),
+    st.one_of(st.integers(0, 9), st.sampled_from(WORD_EDGE_WIDTHS)),
+    st.integers(0, 2**32 - 1),
+)
+def test_pack_rows_round_trip_with_zero_padding(h, w, seed):
+    bits = random_mask(np.random.default_rng(seed), h, w)
+    words = pack_rows(bits)
+    assert words.dtype == np.dtype("<u8") and words.shape == (h, -(-w // 64))
+    assert np.array_equal(unpack_rows(words, w), bits)
+    assert np.bitwise_count(words).sum() == bits.sum()  # padding bits are 0
 
 
 # --- boundary band
@@ -391,18 +418,35 @@ def test_brute_force_equivalence_sweep(d):
 @st.composite
 def band_cases(draw):
     h = draw(st.one_of(st.just(1), st.integers(1, 12)))
-    w = draw(st.one_of(st.just(1), st.integers(1, 12)))
-    fill = draw(st.sampled_from(["random", "empty", "full"]))
-    if fill == "random":
-        mask = random_mask(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), h, w)
+    w = draw(st.one_of(st.just(1), st.integers(1, 12), st.sampled_from(WORD_EDGE_WIDTHS)))
+    fill = draw(st.sampled_from(["random", "sparse", "empty", "full"]))
+    if fill in ("random", "sparse"):
+        # sparse masks leave contour pixels alone near the row ends
+        density = 0.03 if fill == "sparse" else None
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = random_mask(rng, h, w, density)
     else:
         mask = np.full((h, w), fill == "full")
     d = draw(st.integers(1, h + w + 3))
     return mask, d
 
 
+def one_pixel(h, w, y, x):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[y, x] = True
+    return mask
+
+
 @settings(max_examples=200, deadline=None)
 @given(band_cases())
+# one row at d=199 widens each one-sided run by 1, 2, 4, ..., 64 and then
+# 72 columns: whole-word shifts with a zero and a non-zero bit remainder,
+# with the pixel at either end of the row
+@example((one_pixel(1, 200, 0, 0), 199))
+@example((one_pixel(1, 200, 0, 199), 199))
+# a full last word: a shift must not carry a row's end pixel into the next row
+@example((one_pixel(2, 64, 0, 63), 1))
+@example((one_pixel(2, 64, 1, 0), 1))
 def test_band_matches_oracle(case):
     mask, d = case
     assert np.array_equal(boundary_band(bm(mask), d).band.bits, oracles.band_pixels(mask, d))
