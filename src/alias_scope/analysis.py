@@ -20,7 +20,7 @@ import numpy as np
 from .antialias import CutoffSpec, aliasing_score
 from .arrays import BinaryMask, FeatureTensor, LabelMask
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
-from .segmetrics import TAG_NAMES, BandPair, pack_rows, unpack_rows
+from .segmetrics import BandPair, error_type_masks
 
 THREADS_ENV = "ALIAS_SCOPE_THREADS"
 
@@ -208,29 +208,19 @@ def error_type_distribution(
 ) -> BinnedCurve:
     """Histogram of boundary error types per score bin.
 
-    `pairs` is `class_band_pairs(pred, gt, d)`.  Tags are computed per
-    class and merged on the packed bits; a pixel keeps the tag of the
-    lowest class id that claims it.
+    `pairs` is `class_band_pairs(pred, gt, d)`; a pixel claimed by several
+    classes counts once, as in `error_type_masks`.
     """
     h, w = score.values.shape
     if any(pair.shape != (h, w) for pair in pairs.values()):
         raise ShapeError("pred, gt, and score shapes must match")
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
-    claimed = pack_rows(np.zeros((h, w), dtype=bool))
-    merged = [claimed.copy() for _ in TAG_NAMES]
-    for c in sorted(pairs):
-        sets = pairs[c].error_sets()
-        for tagged, pixels in zip(merged, sets):
-            tagged |= pixels & ~claimed
-        for pixels in sets:
-            claimed |= pixels
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    type_counts = {}
-    for name, tagged in zip(TAG_NAMES.values(), merged):
-        pixels = unpack_rows(tagged, w)
-        idx = _bin_index(score.values[pixels], n_bins)
-        type_counts[name] = np.bincount(idx, minlength=n_bins)
+    type_counts = {
+        name: np.bincount(_bin_index(score.values[pixels], n_bins), minlength=n_bins)
+        for name, pixels in error_type_masks(pairs, (h, w)).items()
+    }
     counts = sum(type_counts.values())
     means = np.full(n_bins, np.nan)
     meta = dict(score.metadata())

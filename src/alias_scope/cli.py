@@ -76,6 +76,7 @@ from .sampling import (
 from .spectral import fft2, filter_frequency_response
 from .segmetrics import (
     BandPair,
+    band_union,
     boundary_band,
     class_band_pairs,
     default_band_width,
@@ -288,6 +289,8 @@ def _load_mask(path, ignore_value) -> LabelMask:
 def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
     if config.band_width is None:
         return default_band_width(*shape)
+    if config.band_width < 1:
+        raise InputError(f"band width must be >= 1, got {config.band_width}")
     return config.band_width
 
 
@@ -375,6 +378,8 @@ def cmd_freqmix(args) -> None:
 
 def cmd_metrics(args) -> None:
     config = _run_config(args)
+    if args.classes is not None and args.classes < 0:
+        raise InputError(f"--classes must be >= 0, got {args.classes}")
     ignore = args.ignore_value
     pred = _load_mask(args.pred, ignore)
     gt = _load_mask(args.gt, ignore)
@@ -382,10 +387,10 @@ def cmd_metrics(args) -> None:
         raise InputError("pred and gt shapes differ")
     classes = relevant_classes(pred, gt)
     n_classes = args.classes if args.classes is not None else (max(classes) + 1 if classes else 0)
-    pred.validate_classes(n_classes)
-    gt.validate_classes(n_classes)
+    # miou validates both masks against n_classes, so it runs before any band
+    mean_iou = miou(pred, gt, n_classes, gt_classes_only=not args.all_classes)
     d = _band_width_for(config, gt.data.shape)
-    pairs = class_band_pairs(pred, gt, d)
+    pairs = class_band_pairs(pred, gt, d, classes)
     errors = multiclass_errors(pairs)
     boundary = multiclass_boundary(pairs)
     per_class = {
@@ -398,7 +403,7 @@ def cmd_metrics(args) -> None:
         for c, pair in pairs.items()
     }
     result = {
-        "miou": miou(pred, gt, n_classes, gt_classes_only=not args.all_classes),
+        "miou": mean_iou,
         "band_width": d,
         "n_classes": n_classes,
         "per_class": per_class,
@@ -416,14 +421,11 @@ def cmd_metrics(args) -> None:
 def _gt_boundary_union(gt: LabelMask, d: int, pairs: dict[int, BandPair] | None) -> BinaryMask:
     """Union of the gt class bands, taken from the band pairs when there are
     any (a class present only in pred has an empty G_d)."""
-    union = np.zeros(gt.data.shape, dtype=bool)
     if pairs is None:
-        for c in gt.present_classes():
-            union |= boundary_band(class_mask(gt, c), d).band.bits
+        bands = [boundary_band(class_mask(gt, c), d).words for c in gt.present_classes()]
     else:
-        for pair in pairs.values():
-            union |= pair.unpack(pair.g_d)
-    return BinaryMask(union)
+        bands = [pair.g_d for pair in pairs.values()]
+    return band_union(bands, gt.data.shape)
 
 
 def cmd_analyze(args) -> None:
@@ -432,16 +434,17 @@ def cmd_analyze(args) -> None:
         raise InputError("give exactly one of --features or --score")
     curves: dict[str, list[dict]] = {}
     result: dict = {}
+    source, cutoff = _resolve_cutoff(args) if args.features is not None else ("none", None)
+    config = _run_config(args, source, cutoff)
+    if config.bins < 2:
+        raise InputError(f"bins must be >= 2, got {config.bins}")
     if args.features is not None:
-        source, cutoff = _resolve_cutoff(args)
-        config = _run_config(args, source, cutoff)
         f = _load_feature(args.features)
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
             f, config.window, config.stride, CutoffSpec(cutoff)
         )
     else:
-        config = _run_config(args)
         raw = read_npy(args.score)
         if raw.ndim != 2:
             raise InputError(f"{args.score}: score map must be 2D")

@@ -18,8 +18,8 @@ BIoU, BAcc and baseline are all methods of the `BandPair` it returns.
 A band is the contour dilated by the radius-d disk of integer offsets,
 built from shifted ORs on bit-packed rows (`boundary_band`); no distance
 transform is computed.  `pack_rows` fixes the one packed layout, 64
-pixels per little-endian uint64 word, which `BandPair` and the
-error-type histogram of `analysis` use as well.
+pixels per little-endian uint64 word; bands stay in it up to the counts,
+and no other module reads or writes it (`band_union`, `error_type_masks`).
 """
 
 from __future__ import annotations
@@ -115,11 +115,16 @@ def contour(mask: BinaryMask) -> BinaryMask:
 
 @dataclass(frozen=True)
 class BoundaryBand:
-    """Pixels within Euclidean distance d of a mask's contour (two-sided)."""
+    """A mask and the pixels within Euclidean distance d of its contour
+    (two-sided), as `pack_rows` words of a `width`-column image."""
 
-    source: BinaryMask
-    d: int
-    band: BinaryMask
+    mask_words: np.ndarray
+    words: np.ndarray
+    width: int
+
+    @property
+    def band(self) -> BinaryMask:
+        return BinaryMask(unpack_rows(self.words, self.width))
 
 
 def boundary_band(mask: BinaryMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand:
@@ -137,16 +142,17 @@ def boundary_band(mask: BinaryMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand
     moves.  (A symmetric run grown from itself by +-s would lose pixels
     near the row ends, whose path passes outside the image.)  Both loops
     stop at the image extent.  Everything runs on `pack_rows` words, 64
-    pixels per uint64, and the band is unpacked once at the end: about
-    2*min(d, H-1) row-slice ORs plus three word ops per distinct
-    half-width, O(d*H*W/64) word operations.
+    pixels per uint64, and the band stays packed: about 2*min(d, H-1)
+    row-slice ORs plus three word ops per distinct half-width,
+    O(d*H*W/64) word operations.
     """
     if d < 1:
         raise ShapeError(f"band width must be >= 1, got {d}")
     h, w = mask.bits.shape
-    right = _contour_words(pack_rows(mask.bits))
+    packed = pack_rows(mask.bits)
+    right = _contour_words(packed)
     if not right.any():
-        return BoundaryBand(mask, d, BinaryMask(np.zeros((h, w), dtype=bool)))
+        return BoundaryBand(packed, np.zeros_like(packed), w)
     left, run = right.copy(), right
     band = np.zeros_like(run)
     width = 0
@@ -164,7 +170,8 @@ def boundary_band(mask: BinaryMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand
             band[: h - dy] |= run[dy:]
         else:
             band |= run
-    return BoundaryBand(mask, d, BinaryMask(unpack_rows(band, w)))
+    band[:, -1] &= np.uint64((2**64 - 1) >> (-w % 64))  # `right` spilled into padding
+    return BoundaryBand(packed, band, w)
 
 
 @dataclass(frozen=True)
@@ -212,15 +219,10 @@ class BandPair:
     def shape(self) -> tuple[int, int]:
         return self.p.shape[0], self.width
 
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """One of the fields (or an expression of them) as an (H, W) bool array."""
-        return unpack_rows(packed, self.width)
-
     def tags(self) -> np.ndarray:
         tags = np.zeros(self.shape, dtype=np.uint8)
-        kinds = (TAG_FALSE_RESPONSE, TAG_MERGING, TAG_DISPLACEMENT)
-        for tag, pixels in zip(kinds, self.error_sets()):
-            tags[self.unpack(pixels)] = tag
+        for tag, pixels in zip(TAG_NAMES, self.error_sets()):
+            tags[unpack_rows(pixels, self.width)] = tag
         return tags
 
     def derr_baseline(self) -> float | None:
@@ -242,9 +244,8 @@ class BandPair:
 def band_pair(pred: BinaryMask, gt: BinaryMask, d: int) -> BandPair:
     if pred.bits.shape != gt.bits.shape:
         raise ShapeError(f"mask shapes differ: {pred.bits.shape} vs {gt.bits.shape}")
-    bands = (boundary_band(mask, d).band for mask in (pred, gt))
-    packed = (pack_rows(m.bits) for m in (pred, gt, *bands))
-    return BandPair(*packed, pred.bits.shape[1])
+    p, g = boundary_band(pred, d), boundary_band(gt, d)
+    return BandPair(p.mask_words, g.mask_words, p.words, g.words, p.width)
 
 
 def relevant_classes(pred: LabelMask, gt: LabelMask) -> list[int]:
@@ -252,12 +253,34 @@ def relevant_classes(pred: LabelMask, gt: LabelMask) -> list[int]:
     return sorted(set(pred.present_classes()) | set(gt.present_classes()))
 
 
-def class_band_pairs(pred: LabelMask, gt: LabelMask, d: int) -> dict[int, BandPair]:
-    """Band pair of every class present in either mask."""
-    return {
-        c: band_pair(class_mask(pred, c), class_mask(gt, c), d)
-        for c in relevant_classes(pred, gt)
-    }
+def class_band_pairs(
+    pred: LabelMask, gt: LabelMask, d: int, classes: list[int] | None = None
+) -> dict[int, BandPair]:
+    """Band pair of each class in `classes`, by default those in either mask."""
+    if classes is None:
+        classes = relevant_classes(pred, gt)
+    return {c: band_pair(class_mask(pred, c), class_mask(gt, c), d) for c in classes}
+
+
+def band_union(bands: list[np.ndarray], shape: tuple[int, int]) -> BinaryMask:
+    """Pixels in any of the packed bands of an (H, W) image."""
+    union = np.bitwise_or.reduce([pack_rows(np.zeros(shape, dtype=bool)), *bands])
+    return BinaryMask(unpack_rows(union, shape[1]))
+
+
+def error_type_masks(
+    pairs: dict[int, BandPair], shape: tuple[int, int]
+) -> dict[str, np.ndarray]:
+    """Each error type's (H, W) pixels over all classes, by `TAG_NAMES` value.
+    A pixel keeps the type of the lowest class id that claims it; the pixels
+    claimed so far are the union of the merged types."""
+    empty = pack_rows(np.zeros(shape, dtype=bool))
+    merged = [empty.copy() for _ in TAG_NAMES]
+    for c in sorted(pairs):
+        claimed = np.bitwise_or.reduce(merged)
+        for tagged, pixels in zip(merged, pairs[c].error_sets()):
+            tagged |= pixels & ~claimed
+    return dict(zip(TAG_NAMES.values(), (unpack_rows(t, shape[1]) for t in merged)))
 
 
 def error_metrics(pred: BinaryMask, gt: BinaryMask, d: int) -> BoundaryErrorRates:

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import alias_scope
 from alias_scope import cli, segmetrics
-from alias_scope.arrays import read_npy, write_npy
+from alias_scope.arrays import LabelMask, read_npy, write_npy
 from alias_scope.cli import main
 from alias_scope.freqmix import WEIGHT_FIELDS
 from alias_scope.synth import tone, white_noise
@@ -599,16 +599,21 @@ def test_metrics_pred_label_out_of_range(capsys, tmp_path, mask_pair):
     assert "out of range" in err
 
 
-def _count_band_calls(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    real = segmetrics.boundary_band
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(segmetrics, "boundary_band", counting)
-    monkeypatch.setattr(cli, "boundary_band", counting)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _count_band_calls(monkeypatch):
+    calls = _count_calls(monkeypatch, segmetrics, "boundary_band")
+    monkeypatch.setattr(cli, "boundary_band", segmetrics.boundary_band)
     return calls
 
 
@@ -640,10 +645,28 @@ def test_metrics_validates_labels_before_any_band(
 
 def test_metrics_builds_two_bands_per_class(capsys, monkeypatch, three_class_pair):
     calls = _count_band_calls(monkeypatch)
+    packs = _count_calls(monkeypatch, segmetrics, "pack_rows")
+    unpacks = _count_calls(monkeypatch, segmetrics, "unpack_rows")
     pred, gt = three_class_pair
     report = run_json(capsys, "metrics", pred, gt, "--band-width", 1)
     assert len(report["result"]["per_class"]) == 3
     assert len(calls) == 2 * 3
+    # each band packs its mask once and stays packed through every count
+    assert len(packs) == 2 * 3
+    assert unpacks == []
+
+
+@pytest.mark.parametrize("classes", [[], ["--classes", 3]])
+def test_metrics_scans_and_validates_each_mask_once(
+    capsys, monkeypatch, three_class_pair, classes
+):
+    scans = _count_calls(monkeypatch, LabelMask, "present_classes")
+    checks = _count_calls(monkeypatch, LabelMask, "validate_classes")
+    pred, gt = three_class_pair
+    report = run_json(capsys, "metrics", pred, gt, "--band-width", 1, *classes)
+    assert len(report["result"]["per_class"]) == 3
+    assert len(scans) == 2
+    assert len(checks) == 2
 
 
 def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three_class_pair):
@@ -659,6 +682,42 @@ def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three
     curves = set(report["result"]["curves"])
     assert curves == {"boundary_cross_entropy", "error_type_distribution"}
     assert len(calls) == 2 * 3
+
+
+_RANGE_CHECKS = [  # command, flag, config key (None: flag only), bad value
+    ("metrics", "--band-width", "metrics.band_width", 0),
+    ("analyze", "--band-width", "metrics.band_width", -5),
+    ("analyze", "--bins", "analysis.bins", 1),
+    ("metrics", "--classes", None, -1),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value, source",
+    [(*case, source) for case in _RANGE_CHECKS for source in ("flag", "config")
+     if source == "flag" or case[2] is not None],
+)
+def test_out_of_range_settings_exit_2_without_bands(
+    capsys, tmp_path, command, flag, key, value, source
+):
+    # all-ignored masks and a bare score map build no band and no curve,
+    # so the range check cannot lean on the band or binning code
+    ignored, score = tmp_path / "ignored.npy", tmp_path / "score.npy"
+    write_npy(ignored, np.full((8, 8), 255, dtype=np.uint8))
+    write_npy(score, np.full((8, 8), 0.5))
+    if source == "flag":
+        extra = [flag, value]
+    else:
+        section, name = key.split(".")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{name} = {value}\n")
+        extra = ["--config", cfg]
+    argv = {"metrics": ["metrics", ignored, ignored], "analyze": ["analyze", "--score", score]}
+    code, out, err = run(capsys, *argv[command], *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("alias-scope: error:") and "must be >= " in err
+    assert f"got {value}" in err
 
 
 def test_report_bytes_independent_of_thread_cap(capsys, monkeypatch, mask_pair):
