@@ -93,12 +93,15 @@ def daf(f: FeatureTensor, cutoff: CutoffSpec) -> FeatureTensor:
     same cutoff and is idempotent.  H(c) is symmetric under (k, l) -> (-k, -l),
     so zeroing it on the rfft2 half spectrum (columns 0 .. W//2) of the
     float64 data is the whole projection, and the output is real by construction.
+    The H-axis passes run in place on the one half-spectrum buffer; the steps
+    and their order are those of np.fft.rfft2 and np.fft.irfft2.
     """
-    data = f.data.astype(np.float64, copy=False)
-    h, w = data.shape[1:]
-    coeffs = np.fft.rfft2(data)
+    _, h, w = f.data.shape
+    coeffs = np.fft.rfft(f.data.astype(np.float64, copy=False), axis=2)
+    np.fft.fft(coeffs, axis=1, out=coeffs)
     coeffs[:, FreqGrid(h, w).high_band(cutoff.cutoff)[:, : w // 2 + 1]] = 0.0
-    return FeatureTensor(np.fft.irfft2(coeffs, s=(h, w)))
+    np.fft.ifft(coeffs, axis=1, out=coeffs)
+    return FeatureTensor(np.fft.irfft(coeffs, n=w, axis=2))
 
 
 def binomial_kernel(size: int) -> np.ndarray:

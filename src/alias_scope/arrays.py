@@ -105,7 +105,7 @@ def write_npy(path, arr: np.ndarray) -> None:
         fh.write(bytes((1, 0)))
         fh.write(len(header).to_bytes(2, "little"))
         fh.write(header.encode("ascii"))
-        fh.write(arr.astype(dtype, copy=False).tobytes(order="C"))
+        arr.astype(dtype, copy=False).tofile(fh)  # no bytes copy of the payload
 
 
 @dataclass(frozen=True)

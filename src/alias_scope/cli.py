@@ -212,7 +212,14 @@ def _resolve_cutoff(args, default: float | None = None) -> tuple[str, float]:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Digest of a file, read in 1 MiB blocks so no input is held twice."""
+    digest = hashlib.sha256()
+    block = bytearray(1 << 20)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
+    return digest.hexdigest()
 
 
 def _run_config(args, cutoff_source: str = "none", cutoff: float | None = None) -> RunConfig:
@@ -284,6 +291,17 @@ def _load_mask(path, ignore_value) -> LabelMask:
     if not isinstance(obj, LabelMask):
         raise InputError(f"{path}: expected an integer label mask")
     return obj
+
+
+def _load_score_map(path) -> ScoreMap:
+    raw = read_npy(path)
+    if raw.ndim != 2:
+        raise InputError(f"{path}: score map must be 2D")
+    if not np.all(np.isfinite(raw)):
+        raise InputError(f"{path}: score map contains NaN/Inf")
+    if raw.size and (raw.min() < 0.0 or raw.max() > 1.0):
+        raise InputError(f"{path}: score values must lie in [0, 1]")
+    return ScoreMap(raw.astype(np.float64), window=0, stride=0, cutoff=0.0, mode="external")
 
 
 def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
@@ -438,24 +456,15 @@ def cmd_analyze(args) -> None:
     config = _run_config(args, source, cutoff)
     if config.bins < 2:
         raise InputError(f"bins must be >= 2, got {config.bins}")
+    # neither the feature tensor nor the raw score array outlives the map
     if args.features is not None:
-        f = _load_feature(args.features)
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
-            f, config.window, config.stride, CutoffSpec(cutoff)
+            _load_feature(args.features), config.window, config.stride, CutoffSpec(cutoff)
         )
     else:
-        raw = read_npy(args.score)
-        if raw.ndim != 2:
-            raise InputError(f"{args.score}: score map must be 2D")
-        if not np.all(np.isfinite(raw)):
-            raise InputError(f"{args.score}: score map contains NaN/Inf")
-        if raw.size and (raw.min() < 0.0 or raw.max() > 1.0):
-            raise InputError(f"{args.score}: score values must lie in [0, 1]")
         inputs["score"] = args.score
-        score_map = ScoreMap(
-            raw.astype(np.float64), window=0, stride=0, cutoff=0.0, mode="external"
-        )
+        score_map = _load_score_map(args.score)
     result["score_map"] = score_map.metadata()
     result["score_map"]["mean"] = float(score_map.values.mean())
 
@@ -683,6 +692,9 @@ def main(argv=None) -> int:
         return 3
     except (InputError, OSError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"{TOOL_NAME}: error: input too large for memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -136,8 +136,9 @@ def frequency_split(
 ) -> tuple[FeatureTensor, FeatureTensor]:
     """(low, high) band pair with low + high == f."""
     low = daf(f, cutoff)
-    high = FeatureTensor(f.data.astype(np.float64) - low.data)
-    return low, high
+    high = f.data.astype(np.float64)
+    high -= low.data
+    return low, FeatureTensor(high)
 
 
 def freqmix_apply(
@@ -148,13 +149,16 @@ def freqmix_apply(
 
     weights.check_against(f)
     low, high = frequency_split(f, cutoff)
-    low_gain = expit(weights.a_low_channel)[:, None, None] * expit(
-        weights.a_low_spatial
-    )[None, :, :]
-    high_gain = expit(weights.a_high_channel)[:, None, None] * expit(
-        weights.a_high_spatial
-    )[None, :, :]
-    return FeatureTensor(low_gain * low.data + high_gain * high.data)
+    # each band is released once it is multiplied into its gain, so at most
+    # three (C, H, W) float64 arrays are alive at once
+    out = expit(weights.a_low_channel)[:, None, None] * expit(weights.a_low_spatial)
+    out *= low.data
+    del low
+    gain = expit(weights.a_high_channel)[:, None, None] * expit(weights.a_high_spatial)
+    gain *= high.data
+    del high
+    out += gain
+    return FeatureTensor(out)
 
 
 def _reflect_conv2d(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ gated in the tests against the literal double-sum oracle dft2_naive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,15 @@ def signed_frequencies(n: int) -> np.ndarray:
     """
     idx = np.arange(n)
     return np.where(idx <= n // 2, idx, idx - n) / n
+
+
+@functools.lru_cache(maxsize=64)
+def _high_band(height: int, width: int, cutoff: float) -> np.ndarray:
+    hk = np.abs(signed_frequencies(height)) > cutoff
+    hl = np.abs(signed_frequencies(width)) > cutoff
+    mask = hk[:, None] | hl[None, :]
+    mask.flags.writeable = False  # one array is shared by every caller
+    return mask
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,12 @@ class FreqGrid:
         return signed_frequencies(self.width)
 
     def high_band(self, cutoff: float) -> np.ndarray:
-        """Boolean (H, W) mask of bins with |k| > cutoff or |l| > cutoff."""
-        hk = np.abs(self.freq_h) > cutoff
-        hl = np.abs(self.freq_w) > cutoff
-        return hk[:, None] | hl[None, :]
+        """Boolean (H, W) mask of bins with |k| > cutoff or |l| > cutoff.
+
+        Cached per (H, W, cutoff) and read-only: the score map asks for the
+        same mask once per window.
+        """
+        return _high_band(self.height, self.width, cutoff)
 
 
 @dataclass(frozen=True)
@@ -107,11 +119,15 @@ def dft2_naive(f: FeatureTensor) -> Spectrum:
 def fft2(f: FeatureTensor) -> Spectrum:
     """Fast 2D transform with the 1/(H*W) forward normalization.
 
-    The input is promoted to float64 first: numpy.fft transforms float32
-    input in single precision.
+    The input is cast once to complex128 (numpy.fft transforms float32
+    input in single precision), and both axes are transformed in that
+    buffer, W first as np.fft.fft2 does, so no other spectrum-sized array
+    is made.
     """
-    data = f.data.astype(np.float64, copy=False)
-    return Spectrum(np.fft.fft2(data, norm="forward"))
+    coeffs = f.data.astype(np.complex128)
+    for axis in (2, 1):
+        np.fft.fft(coeffs, axis=axis, norm="forward", out=coeffs)
+    return Spectrum(coeffs)
 
 
 def ifft2(spec: Spectrum) -> FeatureTensor:
@@ -125,8 +141,9 @@ def ifft2_complex(spec: Spectrum) -> np.ndarray:
 
 
 def power_spectrum(spec: Spectrum) -> np.ndarray:
-    """Per-(c, k, l) squared magnitude |F|^2."""
-    return np.abs(spec.coeffs) ** 2
+    """Per-(c, k, l) squared magnitude |F|^2, squared in place of |F|."""
+    power = np.abs(spec.coeffs)
+    return np.square(power, out=power)
 
 
 def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:

@@ -399,6 +399,20 @@ def test_response_unknown_builtin(capsys):
     assert code == 2
 
 
+def test_response_grid_too_large_for_memory(capsys, tmp_path):
+    # a 10^7 x 10^7 float64 grid is 728 TiB, more than a 47-bit address
+    # space holds, so the allocation is refused at once
+    map_out = tmp_path / "map.npy"
+    code, out, err = run(
+        capsys, "response", "--builtin", "binomial3", "--grid", 10_000_000,
+        "--map-out", map_out,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("alias-scope: error: input too large for memory")
+    assert not map_out.exists()
+
+
 # --- orth
 
 

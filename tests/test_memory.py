@@ -1,0 +1,158 @@
+"""Transforms work in one buffer and report digests stream.
+
+The bit-identity tests keep the earlier out-of-place expressions as
+references: the in-place rewrites run the same products and sums in the
+same order, so the results must be equal, not merely close.  The memory
+tests read tracemalloc, which numpy reports its array buffers to, and
+state each bound in buffers of the input's C*H*W elements.
+"""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.special import expit  # imported here, not inside a traced call
+
+from alias_scope.antialias import CutoffSpec, daf
+from alias_scope.arrays import FeatureTensor
+from alias_scope.cli import _sha256
+from alias_scope.freqmix import FreqMixWeights, freqmix_apply, frequency_split
+from alias_scope.spectral import FreqGrid, fft2, power_spectrum
+
+SHAPES = [(3, 97, 97), (1, 1, 1), (2, 2, 1), (2, 1, 2), (4, 12, 16), (2, 9, 7)]
+CUTOFFS = [0.25, 1 / 3, np.sqrt(2) / 4]
+# large enough that numpy's fixed-size iterator buffers (at most 128 KiB)
+# stay a small share of one C*H*W float64 buffer (1 MiB)
+MEMORY_SHAPE = (8, 128, 128)
+
+
+def tensor(shape, dtype, seed=0):
+    return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+
+
+def weights_for(shape, seed=1):
+    c, h, w = shape
+    rng = np.random.default_rng(seed)
+    return FreqMixWeights(
+        rng.standard_normal(c), rng.standard_normal(c),
+        rng.standard_normal((h, w)), rng.standard_normal((h, w)),
+    )
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# --- the earlier expressions, kept as references
+
+
+def fft2_reference(data):
+    return np.fft.fft2(data.astype(np.float64, copy=False), norm="forward")
+
+
+def daf_reference(data, cutoff):
+    data = data.astype(np.float64, copy=False)
+    h, w = data.shape[1:]
+    coeffs = np.fft.rfft2(data)
+    coeffs[:, FreqGrid(h, w).high_band(cutoff)[:, : w // 2 + 1]] = 0.0
+    return np.fft.irfft2(coeffs, s=(h, w))
+
+
+def freqmix_reference(data, cutoff, weights):
+    low = daf_reference(data, cutoff)
+    high = data.astype(np.float64) - low
+    low_gain = expit(weights.a_low_channel)[:, None, None] * expit(
+        weights.a_low_spatial
+    )[None, :, :]
+    high_gain = expit(weights.a_high_channel)[:, None, None] * expit(
+        weights.a_high_spatial
+    )[None, :, :]
+    return low_gain * low + high_gain * high
+
+
+# --- bit identity
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fft2_and_power_spectrum_bit_identical(shape, dtype):
+    data = tensor(shape, dtype)
+    spec = fft2(FeatureTensor(data))
+    assert np.array_equal(spec.coeffs, fft2_reference(data))
+    assert np.array_equal(power_spectrum(spec), np.abs(spec.coeffs) ** 2)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_daf_and_split_bit_identical(shape, dtype, cutoff):
+    data = tensor(shape, dtype)
+    want = daf_reference(data, cutoff)
+    assert np.array_equal(daf(FeatureTensor(data), CutoffSpec(cutoff)).data, want)
+    low, high = frequency_split(FeatureTensor(data), CutoffSpec(cutoff))
+    assert np.array_equal(low.data, want)
+    assert np.array_equal(high.data, data.astype(np.float64) - want)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_freqmix_apply_bit_identical(shape, dtype):
+    data = tensor(shape, dtype)
+    weights = weights_for(shape)
+    got = freqmix_apply(FeatureTensor(data), CutoffSpec(0.25), weights).data
+    assert np.array_equal(got, freqmix_reference(data, 0.25, weights))
+
+
+def test_inputs_left_unchanged():
+    data = tensor((2, 9, 7), "<f8")
+    f = FeatureTensor(data.copy())
+    fft2(f)
+    daf(f, CutoffSpec(0.25))
+    freqmix_apply(f, CutoffSpec(0.25), weights_for((2, 9, 7)))
+    assert np.array_equal(f.data, data)
+
+
+# --- memory bounds
+
+
+def test_sha256_streams_the_file(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(8 << 20))
+    want = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert _sha256(path) == want
+    assert traced_peak(_sha256, path) < 2 << 20
+
+
+def test_fft2_holds_one_complex_buffer():
+    data = tensor(MEMORY_SHAPE, "<f4")
+    f = FeatureTensor(data)
+    complex_buffer = data.size * 16
+    # out of place this was a float64 cast plus one complex array per axis
+    assert traced_peak(fft2, f) <= 1.25 * complex_buffer
+
+
+def test_daf_holds_one_working_buffer():
+    data = tensor(MEMORY_SHAPE, "<f4")
+    f = FeatureTensor(data)
+    buffer = data.size * 8
+    # the float64 cast, the half spectrum and the output each take about
+    # one buffer, and the cast is gone before the output is made; with
+    # irfft2 a second half spectrum and the cast lived next to the output
+    assert traced_peak(daf, f, CutoffSpec(0.25)) <= 2.25 * buffer
+
+
+def test_freqmix_apply_holds_three_buffers():
+    data = tensor(MEMORY_SHAPE, "<f4")
+    f = FeatureTensor(data)
+    buffer = data.size * 8
+    # two bands and one result, or one band, the result and one gain;
+    # with two gains, two products and a sum it was six
+    peak = traced_peak(freqmix_apply, f, CutoffSpec(0.25), weights_for(MEMORY_SHAPE))
+    assert peak <= 3.5 * buffer

@@ -175,6 +175,18 @@ def test_high_band_mask():
     assert band[0, 4]  # 0.5 > 0.25
 
 
+def test_high_band_mask_cached_and_read_only():
+    band = FreqGrid(12, 9).high_band(0.25)
+    assert FreqGrid(12, 9).high_band(0.25) is band
+    assert not band.flags.writeable
+    with pytest.raises(ValueError):
+        band[0, 0] = True
+    fresh = (np.abs(signed_frequencies(12)) > 0.25)[:, None] | (
+        np.abs(signed_frequencies(9)) > 0.25
+    )[None, :]
+    np.testing.assert_array_equal(band, fresh)
+
+
 # --- filter frequency responses
 
 
