@@ -93,14 +93,20 @@ def daf(f: FeatureTensor, cutoff: CutoffSpec) -> FeatureTensor:
     same cutoff and is idempotent.  H(c) is symmetric under (k, l) -> (-k, -l),
     so zeroing it on the rfft2 half spectrum (columns 0 .. W//2) of the
     float64 data is the whole projection, and the output is real by construction.
-    The H-axis passes run in place on the one half-spectrum buffer; the steps
-    and their order are those of np.fft.rfft2 and np.fft.irfft2.
+    On the half spectrum the band is every column past a prefix, plus the
+    high rows within that prefix, so the H-axis passes run in place on the
+    kept columns only.  Each step is one of np.fft.rfft2's and
+    np.fft.irfft2's, and the result equals theirs bit for bit.
     """
     _, h, w = f.data.shape
+    band = FreqGrid(h, w).high_band(cutoff.cutoff)
+    kept = w // 2 + 1 - np.count_nonzero(band[0, : w // 2 + 1])
     coeffs = np.fft.rfft(f.data.astype(np.float64, copy=False), axis=2)
-    np.fft.fft(coeffs, axis=1, out=coeffs)
-    coeffs[:, FreqGrid(h, w).high_band(cutoff.cutoff)[:, : w // 2 + 1]] = 0.0
-    np.fft.ifft(coeffs, axis=1, out=coeffs)
+    coeffs[:, :, kept:] = 0.0
+    low = coeffs[:, :, :kept]
+    np.fft.fft(low, axis=1, out=low)
+    low[:, band[:, 0]] = 0.0
+    np.fft.ifft(low, axis=1, out=low)
     return FeatureTensor(np.fft.irfft(coeffs, n=w, axis=2))
 
 
@@ -123,20 +129,27 @@ def binomial_blur(f: FeatureTensor, size: int) -> FeatureTensor:
     row = _BINOMIAL_ROWS.get(size)
     if row is None:
         raise SpecError(f"blur size must be one of {sorted(_BINOMIAL_ROWS)}")
-    data = f.data.astype(np.float64)
-    out = ndimage.convolve1d(data, row, axis=1, mode="reflect")
+    # float64 output straight from the input: ndimage filters each line in
+    # a float64 buffer, so this equals casting first, without the cast copy
+    out = ndimage.convolve1d(f.data, row, axis=1, mode="reflect", output=np.float64)
     out = ndimage.convolve1d(out, row, axis=2, mode="reflect")
     return FeatureTensor(out)
 
 
 def add_gaussian_noise(f: FeatureTensor, sigma: float, seed: int) -> FeatureTensor:
-    """Add i.i.d. N(0, sigma^2) noise, deterministic for a given seed."""
-    if sigma < 0:
-        raise SpecError("sigma must be >= 0")
+    """Add i.i.d. N(0, sigma^2) noise, deterministic for a given seed.
+
+    The noise is sigma * z for a standard-normal stream z, which is what
+    rng.normal(0, sigma) draws, and the input is added to it in place.
+    """
+    if not 0 <= sigma < np.inf:
+        raise SpecError(f"sigma must be a finite number >= 0, got {sigma}")
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if sigma == 0:
         return FeatureTensor(f.data.astype(np.float64))
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=f.data.shape)
-    return FeatureTensor(f.data.astype(np.float64) + noise)
+    out = np.random.default_rng(seed).standard_normal(f.data.shape)
+    with np.errstate(over="ignore"):  # FeatureTensor rejects an overflow to inf
+        out *= sigma
+        out += f.data
+    return FeatureTensor(out)

@@ -363,6 +363,8 @@ def cmd_daf(args) -> None:
 
 
 def cmd_split(args) -> None:
+    if Path(args.out_low).resolve() == Path(args.out_high).resolve():
+        raise InputError(f"--out-low and --out-high are the same file: {args.out_low}")
     _, cutoff = _resolve_cutoff(args)
     f = _load_feature(args.input)
     low, high = frequency_split(f, CutoffSpec(cutoff))

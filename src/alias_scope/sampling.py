@@ -199,9 +199,15 @@ def filter_bank_orthogonality(bank: FilterBank) -> tuple[np.ndarray, float]:
         raise DegenerateFilterError("filter bank contains a zero-norm filter")
     unit = bank.filters / peaks[:, None]
     norms = np.linalg.norm(unit, axis=1)
-    gram = unit @ unit.T
+    n = bank.count
+    # One mat-vec per row, not the unit @ unit.T GEMM: a threaded GEMM
+    # leaves OpenBLAS's idle worker spinning for ~0.1 s of CPU after it
+    # returns.  Each row's products fill its upper triangle and are
+    # mirrored into the lower one, so the matrix is exactly symmetric.
+    gram = np.empty((n, n))
+    for i, row in enumerate(unit):
+        gram[i, i:] = gram[i:, i] = unit[i:] @ row
     matrix = np.abs(gram) / np.outer(norms, norms)
     np.fill_diagonal(matrix, 1.0)
-    n = bank.count
     mean_off = float((matrix.sum() - n) / (n * (n - 1)))
     return matrix, mean_off

@@ -221,6 +221,42 @@ def test_noise_negative_seed_rejected(capsys, tmp_path, feature_file, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_noise_non_finite_sigma_rejected(capsys, tmp_path, feature_file, sigma):
+    out = tmp_path / "n.npy"
+    code, stdout, err = run(capsys, "noise", feature_file, f"--sigma={sigma}", "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("alias-scope: error:") and "sigma" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_noise_overflowing_sigma_rejected_without_warnings(capsys, tmp_path, feature_file):
+    # sigma * z overflows to inf for |z| > 1.8: one error line, no numpy warning
+    out = tmp_path / "n.npy"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "noise", feature_file, "--sigma", 1e308, "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("alias-scope: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_split_same_output_file_rejected(capsys, tmp_path, feature_file):
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "bands.npy"
+    code, stdout, err = run(
+        capsys, "split", feature_file, "--cutoff", 0.25,
+        "--out-low", out, "--out-high", tmp_path / "sub" / ".." / "bands.npy",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("alias-scope: error:") and "same file" in err
+    assert not out.exists()
+
+
 def test_freqmix_bypass_weights(capsys, tmp_path, feature_file):
     wdir = tmp_path / "weights"
     wdir.mkdir()

@@ -4,7 +4,9 @@ The bit-identity tests keep the earlier out-of-place expressions as
 references: the in-place rewrites run the same products and sums in the
 same order, so the results must be equal, not merely close.  The memory
 tests read tracemalloc, which numpy reports its array buffers to, and
-state each bound in buffers of the input's C*H*W elements.
+state each bound in buffers of the input's C*H*W elements.  The filter
+bank Gram matrix is the exception: it is summed by mat-vecs instead of a
+GEMM, so it is held to the GEMM within a tolerance.
 """
 
 import hashlib
@@ -12,16 +14,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit  # imported here, not inside a traced call
+from scipy import ndimage  # imported here, not inside a traced call
+from scipy.special import expit
 
-from alias_scope.antialias import CutoffSpec, daf
+from alias_scope.antialias import (
+    _BINOMIAL_ROWS,
+    CutoffSpec,
+    add_gaussian_noise,
+    binomial_blur,
+    daf,
+)
 from alias_scope.arrays import FeatureTensor
 from alias_scope.cli import _sha256
 from alias_scope.freqmix import FreqMixWeights, freqmix_apply, frequency_split
+from alias_scope.sampling import FilterBank, filter_bank_orthogonality
 from alias_scope.spectral import FreqGrid, fft2, power_spectrum
 
 SHAPES = [(3, 97, 97), (1, 1, 1), (2, 2, 1), (2, 1, 2), (4, 12, 16), (2, 9, 7)]
-CUTOFFS = [0.25, 1 / 3, np.sqrt(2) / 4]
+# 0.5 keeps every half-spectrum column and 0.01 only the DC column
+CUTOFFS = [0.25, 1 / 3, np.sqrt(2) / 4, 0.5, 0.01]
 # large enough that numpy's fixed-size iterator buffers (at most 128 KiB)
 # stay a small share of one C*H*W float64 buffer (1 MiB)
 MEMORY_SHAPE = (8, 128, 128)
@@ -77,6 +88,25 @@ def freqmix_reference(data, cutoff, weights):
     return low_gain * low + high_gain * high
 
 
+def blur_reference(data, size):
+    row = _BINOMIAL_ROWS[size]
+    out = ndimage.convolve1d(data.astype(np.float64), row, axis=1, mode="reflect")
+    return ndimage.convolve1d(out, row, axis=2, mode="reflect")
+
+
+def noise_reference(data, sigma, seed):
+    noise = np.random.default_rng(seed).normal(0.0, sigma, size=data.shape)
+    return data.astype(np.float64) + noise
+
+
+def orthogonality_reference(filters):
+    unit = filters / np.abs(filters).max(axis=1)[:, None]
+    norms = np.linalg.norm(unit, axis=1)
+    matrix = np.abs(unit @ unit.T) / np.outer(norms, norms)
+    np.fill_diagonal(matrix, 1.0)
+    return matrix
+
+
 # --- bit identity
 
 
@@ -110,11 +140,39 @@ def test_freqmix_apply_bit_identical(shape, dtype):
     assert np.array_equal(got, freqmix_reference(data, 0.25, weights))
 
 
+@pytest.mark.parametrize("size", [3, 5, 7])
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_blur_bit_identical(shape, dtype, size):
+    data = tensor(shape, dtype)
+    got = binomial_blur(FeatureTensor(data), size).data
+    assert got.tobytes() == blur_reference(data, size).tobytes()
+
+
+@pytest.mark.parametrize("sigma, seed", [(0.5, 0), (1.0, 9), (1e-3, 123)])
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_noise_bit_identical(shape, dtype, sigma, seed):
+    data = tensor(shape, dtype)
+    got = add_gaussian_noise(FeatureTensor(data), sigma, seed).data
+    assert got.tobytes() == noise_reference(data, sigma, seed).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (5, 3), (17, 9), (128, 576)])
+def test_orthogonality_matches_gemm(shape):
+    filters = np.random.default_rng(4).standard_normal(shape)
+    matrix, _ = filter_bank_orthogonality(FilterBank(filters))
+    want = orthogonality_reference(filters)
+    assert np.abs(matrix - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_inputs_left_unchanged():
     data = tensor((2, 9, 7), "<f8")
     f = FeatureTensor(data.copy())
     fft2(f)
     daf(f, CutoffSpec(0.25))
+    binomial_blur(f, 5)
+    add_gaussian_noise(f, 0.5, 0)
     freqmix_apply(f, CutoffSpec(0.25), weights_for((2, 9, 7)))
     assert np.array_equal(f.data, data)
 
@@ -156,3 +214,19 @@ def test_freqmix_apply_holds_three_buffers():
     # with two gains, two products and a sum it was six
     peak = traced_peak(freqmix_apply, f, CutoffSpec(0.25), weights_for(MEMORY_SHAPE))
     assert peak <= 3.5 * buffer
+
+
+def test_blur_casts_no_copy():
+    data = tensor(MEMORY_SHAPE, "<f4")
+    f = FeatureTensor(data)
+    buffer = data.size * 8
+    # the two float64 passes; casting the input first made it three
+    assert traced_peak(binomial_blur, f, 5) <= 2.25 * buffer
+
+
+def test_noise_adds_in_place():
+    data = tensor(MEMORY_SHAPE, "<f4")
+    f = FeatureTensor(data)
+    buffer = data.size * 8
+    # the noise, which becomes the output; noise plus a sum made it two
+    assert traced_peak(add_gaussian_noise, f, 0.5, 7) <= 1.25 * buffer
