@@ -12,6 +12,7 @@ nearest center column, ties going to the lower one.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -200,8 +201,23 @@ def bin_by_score(
     return BinnedCurve(edges, counts, means, meta=dict(score.metadata()))
 
 
+def _count_by_bin(
+    scores: np.ndarray, select: np.ndarray, n_bins: int, block: int = 1 << 16
+) -> np.ndarray:
+    """Bin counts of `scores` where `select` is set, taken in blocks of rows
+    of about `block` pixels, so the selected scores and their bin indexes
+    never span the image.  `_bin_index` works element by element, so the
+    counts do not depend on the blocks."""
+    counts = np.zeros(n_bins, dtype=np.intp)
+    step = max(1, block // max(1, scores.shape[1]))
+    for start in range(0, scores.shape[0], step):
+        rows = slice(start, start + step)
+        counts += np.bincount(_bin_index(scores[rows][select[rows]], n_bins), minlength=n_bins)
+    return counts
+
+
 def error_type_distribution(
-    pairs: dict[int, BandPair],
+    pairs: Iterable[tuple[int, BandPair]],
     score: ScoreMap,
     d: int,
     n_bins: int = 20,
@@ -211,15 +227,12 @@ def error_type_distribution(
     `pairs` is `class_band_pairs(pred, gt, d)`; a pixel claimed by several
     classes counts once, as in `error_type_masks`.
     """
-    h, w = score.values.shape
-    if any(pair.shape != (h, w) for pair in pairs.values()):
-        raise ShapeError("pred, gt, and score shapes must match")
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     type_counts = {
-        name: np.bincount(_bin_index(score.values[pixels], n_bins), minlength=n_bins)
-        for name, pixels in error_type_masks(pairs, (h, w)).items()
+        name: _count_by_bin(score.values, pixels, n_bins)
+        for name, pixels in error_type_masks(pairs, score.values.shape).items()
     }
     counts = sum(type_counts.values())
     means = np.full(n_bins, np.nan)

@@ -152,4 +152,7 @@ def add_gaussian_noise(f: FeatureTensor, sigma: float, seed: int) -> FeatureTens
     with np.errstate(over="ignore"):  # FeatureTensor rejects an overflow to inf
         out *= sigma
         out += f.data
-    return FeatureTensor(out)
+    try:
+        return FeatureTensor(out)
+    except ValidationError as exc:  # f is finite, so the noise overflowed
+        raise SpecError(f"noise with sigma {sigma} overflows float64") from exc

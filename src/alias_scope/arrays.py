@@ -182,9 +182,12 @@ class LabelMask:
 
     def present_classes(self) -> list[int]:
         if self.data.dtype.itemsize <= 2:
-            # |u1 and <u2 labels need at most 65536 bins; an <i4 label can
-            # be up to 2**31 - 1, so it stays with np.unique
-            labels = np.flatnonzero(np.bincount(self.data.ravel()))
+            # |u1 and <u2 labels index a table of at most 65536 flags, with
+            # no intp copy of the mask; an <i4 label can be up to
+            # 2**31 - 1, so it stays with np.unique
+            seen = np.zeros(1 << (8 * self.data.dtype.itemsize), dtype=bool)
+            seen[self.data] = True
+            labels = np.flatnonzero(seen)
         else:
             labels = np.unique(self.data)
         if self.ignore_value is not None:

@@ -47,7 +47,6 @@ from .antialias import (
     score_from_power,
 )
 from .arrays import (
-    BinaryMask,
     FeatureTensor,
     LabelMask,
     class_mask,
@@ -75,13 +74,11 @@ from .sampling import (
 )
 from .spectral import fft2, filter_frequency_response
 from .segmetrics import (
-    BandPair,
-    band_union,
+    BandUnion,
     boundary_band,
     class_band_pairs,
     default_band_width,
     miou,
-    multiclass_boundary,
     multiclass_errors,
     relevant_classes,
 )
@@ -301,7 +298,8 @@ def _load_score_map(path) -> ScoreMap:
         raise InputError(f"{path}: score map contains NaN/Inf")
     if raw.size and (raw.min() < 0.0 or raw.max() > 1.0):
         raise InputError(f"{path}: score values must lie in [0, 1]")
-    return ScoreMap(raw.astype(np.float64), window=0, stride=0, cutoff=0.0, mode="external")
+    values = raw.astype(np.float64, copy=False)  # an <f8 map is not copied
+    return ScoreMap(values, window=0, stride=0, cutoff=0.0, mode="external")
 
 
 def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
@@ -410,17 +408,15 @@ def cmd_metrics(args) -> None:
     # miou validates both masks against n_classes, so it runs before any band
     mean_iou = miou(pred, gt, n_classes, gt_classes_only=not args.all_classes)
     d = _band_width_for(config, gt.data.shape)
-    pairs = class_band_pairs(pred, gt, d, classes)
-    errors = multiclass_errors(pairs)
-    boundary = multiclass_boundary(pairs)
+    errors = multiclass_errors(class_band_pairs(pred, gt, d, classes))
     per_class = {
         str(c): {
-            **asdict(errors.per_class[c]),
-            "derr_perfect_baseline": pair.derr_baseline(),
-            "biou": boundary.per_class_iou[c],
-            "bacc": boundary.per_class_acc[c],
+            **asdict(rates),
+            "derr_perfect_baseline": errors.per_class_baseline[c],
+            "biou": errors.per_class_iou[c],
+            "bacc": errors.per_class_acc[c],
         }
-        for c, pair in pairs.items()
+        for c, rates in errors.per_class.items()
     }
     result = {
         "miou": mean_iou,
@@ -431,21 +427,11 @@ def cmd_metrics(args) -> None:
             "ferr": errors.ferr,
             "merr": errors.merr,
             "derr": errors.derr,
-            "biou": boundary.biou,
-            "bacc": boundary.bacc,
+            "biou": errors.biou,
+            "bacc": errors.bacc,
         },
     }
     _write(args, _report_json(config, {"pred": args.pred, "gt": args.gt}, result))
-
-
-def _gt_boundary_union(gt: LabelMask, d: int, pairs: dict[int, BandPair] | None) -> BinaryMask:
-    """Union of the gt class bands, taken from the band pairs when there are
-    any (a class present only in pred has an empty G_d)."""
-    if pairs is None:
-        bands = [boundary_band(class_mask(gt, c), d).words for c in gt.present_classes()]
-    else:
-        bands = [pair.g_d for pair in pairs.values()]
-    return band_union(bands, gt.data.shape)
 
 
 def cmd_analyze(args) -> None:
@@ -479,14 +465,18 @@ def cmd_analyze(args) -> None:
     d = _band_width_for(config, score_map.values.shape)
     result["band_width"] = d
 
+    gt_bands = None
     if args.probs is not None:
         if gt is None:
             raise InputError("--probs needs --gt")
-        probs = _load_feature(args.probs)
         inputs["probs"] = args.probs
-        ce = pixel_cross_entropy(probs, gt)
+        ce = pixel_cross_entropy(_load_feature(args.probs), gt)
+        gt_bands = BandUnion(gt.data.shape)
 
-    pairs = None
+    # one pass over the classes, one class's bands at a time: each gt band
+    # goes into the --probs union, each pair's error types into the merge
+    # (a class present only in pred has an empty G_d)
+    dist = None
     if args.pred is not None:
         if gt is None:
             raise InputError("--pred needs --gt")
@@ -495,13 +485,17 @@ def cmd_analyze(args) -> None:
         if pred.data.shape != gt.data.shape:
             raise InputError("pred and gt shapes differ")
         pairs = class_band_pairs(pred, gt, d)
-
-    if args.probs is not None:
-        mask = _gt_boundary_union(gt, d, pairs)
-        curve = bin_by_score(score_map, ce, mask, config.bins)
-        curves["boundary_cross_entropy"] = curve.rows()
-    if pairs is not None:
+        if gt_bands is not None:
+            pairs = gt_bands.add_gt_bands(pairs)
         dist = error_type_distribution(pairs, score_map, d, config.bins)
+    elif gt_bands is not None:
+        for c in gt.present_classes():
+            gt_bands.add(boundary_band(class_mask(gt, c), d).words)
+
+    if gt_bands is not None:
+        curve = bin_by_score(score_map, ce, gt_bands.mask, config.bins)
+        curves["boundary_cross_entropy"] = curve.rows()
+    if dist is not None:
         curves["error_type_distribution"] = dist.rows()
 
     if config.out_format == "csv":

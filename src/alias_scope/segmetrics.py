@@ -15,15 +15,18 @@ masks), so reports pair it with derr at P = G, 1 - |G_d & G| / |G_d|.
 
 Bands are built once per class, by `band_pair`; the rates, error tags,
 BIoU, BAcc and baseline are all methods of the `BandPair` it returns.
+`class_band_pairs` builds the pairs one class at a time as they are asked
+for, so a command over many classes holds one class's pair, not all.
 A band is the contour dilated by the radius-d disk of integer offsets,
 built from shifted ORs on bit-packed rows (`boundary_band`); no distance
 transform is computed.  `pack_rows` fixes the one packed layout, 64
 pixels per little-endian uint64 word; bands stay in it up to the counts,
-and no other module reads or writes it (`band_union`, `error_type_masks`).
+and no other module reads or writes it (`BandUnion`, `error_type_masks`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from math import isqrt
 
@@ -187,10 +190,9 @@ def _count(packed: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class BandPair:
-    """One class's P, G, P_d and G_d as `pack_rows` words, so a command
-    can hold every class's pair at once: 19 classes at 512x1024 take
-    4.75 MiB, not 38 MiB.  Row padding bits are 0 in every field, and each
-    expression below ands with a field, so they stay 0.
+    """One class's P, G, P_d and G_d as `pack_rows` words.  Row padding
+    bits are 0 in every field, and each expression below ands with a
+    field, so they stay 0.
     """
 
     p: np.ndarray
@@ -255,30 +257,53 @@ def relevant_classes(pred: LabelMask, gt: LabelMask) -> list[int]:
 
 def class_band_pairs(
     pred: LabelMask, gt: LabelMask, d: int, classes: list[int] | None = None
-) -> dict[int, BandPair]:
-    """Band pair of each class in `classes`, by default those in either mask."""
+) -> Iterator[tuple[int, BandPair]]:
+    """(class id, band pair) of each class in `classes`, by default those in
+    either mask in ascending order; each pair is built when it is asked for."""
     if classes is None:
         classes = relevant_classes(pred, gt)
-    return {c: band_pair(class_mask(pred, c), class_mask(gt, c), d) for c in classes}
+    for c in classes:
+        yield c, band_pair(class_mask(pred, c), class_mask(gt, c), d)
 
 
-def band_union(bands: list[np.ndarray], shape: tuple[int, int]) -> BinaryMask:
-    """Pixels in any of the packed bands of an (H, W) image."""
-    union = np.bitwise_or.reduce([pack_rows(np.zeros(shape, dtype=bool)), *bands])
-    return BinaryMask(unpack_rows(union, shape[1]))
+class BandUnion:
+    """Pixels in any of the packed bands of an (H, W) image, ORed in one
+    band at a time."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self._words = pack_rows(np.zeros(shape, dtype=bool))
+        self._width = shape[1]
+
+    def add(self, band: np.ndarray) -> None:
+        self._words |= band
+
+    def add_gt_bands(
+        self, pairs: Iterable[tuple[int, BandPair]]
+    ) -> Iterator[tuple[int, BandPair]]:
+        """Pass `pairs` through, ORing in each pair's G_d as it goes by."""
+        for c, pair in pairs:
+            self.add(pair.g_d)
+            yield c, pair
+
+    @property
+    def mask(self) -> BinaryMask:
+        return BinaryMask(unpack_rows(self._words, self._width))
 
 
 def error_type_masks(
-    pairs: dict[int, BandPair], shape: tuple[int, int]
+    pairs: Iterable[tuple[int, BandPair]], shape: tuple[int, int]
 ) -> dict[str, np.ndarray]:
     """Each error type's (H, W) pixels over all classes, by `TAG_NAMES` value.
-    A pixel keeps the type of the lowest class id that claims it; the pixels
-    claimed so far are the union of the merged types."""
+    A pixel keeps the type of the first class in `pairs` that claims it,
+    the lowest class id for `class_band_pairs`; the pixels claimed so far
+    are the union of the merged types."""
     empty = pack_rows(np.zeros(shape, dtype=bool))
     merged = [empty.copy() for _ in TAG_NAMES]
-    for c in sorted(pairs):
+    for _, pair in pairs:
+        if pair.shape != shape:
+            raise ShapeError(f"band pair shape {pair.shape} does not match {shape}")
         claimed = np.bitwise_or.reduce(merged)
-        for tagged, pixels in zip(merged, pairs[c].error_sets()):
+        for tagged, pixels in zip(merged, pair.error_sets()):
             tagged |= pixels & ~claimed
     return dict(zip(TAG_NAMES.values(), (unpack_rows(t, shape[1]) for t in merged)))
 
@@ -308,20 +333,44 @@ def _mean_defined(values: list[float | None]) -> float | None:
 
 @dataclass(frozen=True)
 class ErrorBreakdown:
+    """Per-class boundary error rates, derr baseline (`BandPair.derr_baseline`),
+    BIoU and BAcc, and the means over defined entries."""
+
     per_class: dict[int, BoundaryErrorRates]
+    per_class_baseline: dict[int, float | None]
+    per_class_iou: dict[int, float | None]
+    per_class_acc: dict[int, float | None]
     ferr: float | None
     merr: float | None
     derr: float | None
+    biou: float | None
+    bacc: float | None
 
 
-def multiclass_errors(pairs: dict[int, BandPair]) -> ErrorBreakdown:
-    """Per-class boundary error rates, averaged over defined entries."""
-    per_class = {c: pair.rates() for c, pair in pairs.items()}
-    means = {
-        name: _mean_defined([getattr(r, name) for r in per_class.values()])
+def multiclass_errors(pairs: Iterable[tuple[int, BandPair]]) -> ErrorBreakdown:
+    """Every per-class band metric, from one pass over `class_band_pairs`,
+    so one class's pair is held at a time."""
+    per_class, baseline, per_iou, per_acc = {}, {}, {}, {}
+    for c, pair in pairs:
+        per_class[c] = pair.rates()
+        baseline[c] = pair.derr_baseline()
+        per_iou[c] = pair.iou()
+        per_acc[c] = pair.acc()
+    rates = [
+        _mean_defined([getattr(r, name) for r in per_class.values()])
         for name in ("ferr", "merr", "derr")
-    }
-    return ErrorBreakdown(per_class, **means)
+    ]
+    scores = [_mean_defined(list(s.values())) for s in (per_iou, per_acc)]
+    return ErrorBreakdown(per_class, baseline, per_iou, per_acc, *rates, *scores)
+
+
+def _bincount(labels: np.ndarray, size: int, block: int = 1 << 16) -> np.ndarray:
+    """`np.bincount(labels, minlength=size)` for labels below `size`, taken
+    in blocks: bincount casts its input to intp, 8 bytes per label."""
+    counts = np.zeros(size, dtype=np.intp)
+    for start in range(0, labels.size, block):
+        counts += np.bincount(labels[start : start + block], minlength=size)
+    return counts
 
 
 def miou(
@@ -350,9 +399,9 @@ def miou(
     # sized by the largest label present, not by n_classes
     g, p = gt.data[valid], pred.data[valid]
     size = int(max(g.max(), p.max())) + 1 if g.size else 0
-    inter = np.bincount(g[g == p], minlength=size)
-    in_gt = np.bincount(g, minlength=size)
-    union = in_gt + np.bincount(p, minlength=size) - inter
+    inter = _bincount(g[g == p], size)
+    in_gt = _bincount(g, size)
+    union = in_gt + _bincount(p, size) - inter
     keep = in_gt > 0 if gt_classes_only else union > 0
     ious = [int(i) / int(u) for i, u in zip(inter[keep], union[keep])]
     return sum(ious) / len(ious) if ious else None
@@ -366,8 +415,7 @@ class BoundaryScores:
     bacc: float | None
 
 
-def multiclass_boundary(pairs: dict[int, BandPair]) -> BoundaryScores:
-    per_iou = {c: pair.iou() for c, pair in pairs.items()}
-    per_acc = {c: pair.acc() for c, pair in pairs.items()}
-    means = [_mean_defined(list(scores.values())) for scores in (per_iou, per_acc)]
-    return BoundaryScores(per_iou, per_acc, *means)
+def multiclass_boundary(pairs: Iterable[tuple[int, BandPair]]) -> BoundaryScores:
+    """The BIoU and BAcc half of `multiclass_errors`."""
+    errors = multiclass_errors(pairs)
+    return BoundaryScores(errors.per_class_iou, errors.per_class_acc, errors.biou, errors.bacc)

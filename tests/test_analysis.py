@@ -354,6 +354,17 @@ def test_distribution_matches_per_pixel_merge(h, w, n_classes, d, n_bins, seed):
     assert curve.counts.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("block", [1, 20, 21, 50, 1 << 16])
+def test_binning_in_row_blocks_counts_the_same(block):
+    # blocks of 1, 1, 1, 2 and all 9 rows of 21 pixels
+    rng = np.random.default_rng(block)
+    scores = rng.uniform(0.0, 1.0, (9, 21))
+    scores[0, :3] = [0.0, 0.4, 1.0]  # bin edges
+    select = rng.random((9, 21)) < 0.5
+    want = np.bincount(analysis._bin_index(scores[select], 5), minlength=5)
+    assert np.array_equal(analysis._count_by_bin(scores, select, 5, block), want)
+
+
 def test_distribution_conservation():
     pred, gt = shifted_square_masks()
     score = uniform_score_map(np.random.default_rng(3).uniform(0, 1, (8, 8)))

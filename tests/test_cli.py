@@ -244,6 +244,17 @@ def test_noise_overflowing_sigma_rejected_without_warnings(capsys, tmp_path, fea
     assert not out.exists()
 
 
+def test_noise_overflow_blames_sigma(capsys, tmp_path):
+    # the input is finite, so an overflow to inf comes from sigma
+    feat, out = tmp_path / "f.npy", tmp_path / "n.npy"
+    write_npy(feat, np.ones((2, 8, 8)))
+    code, stdout, err = run(capsys, "noise", feat, "--sigma", 1e308, "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "sigma" in err
+    assert not out.exists()
+
+
 def test_split_same_output_file_rejected(capsys, tmp_path, feature_file):
     (tmp_path / "sub").mkdir()
     out = tmp_path / "bands.npy"

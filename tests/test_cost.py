@@ -1,0 +1,134 @@
+"""Cost contract: the traced memory peak of every command, in one table.
+
+Each case runs `cli.main` once to warm up (imports, caches, the parser),
+then once under tracemalloc, on small fixed inputs.  A float command's
+bound is in units of its largest float64 array: C*H*W*8 bytes for a
+feature tensor, grid^2*8 for `response`, the float64 bank for `orth`.  The
+mask commands, and `esr` and `fold`, which read no array, are bounded in
+MiB.  Each bound is the peak measured with numpy 2.4 plus about 10%,
+except that `esr` and `fold`, which measure 9 KiB of argument parsing and
+report text, get 0.02 MiB; the README "Memory" table lists them.  Every
+case runs with one score-map worker: each pool thread holds its own
+window buffers, so with more the peak would depend on the core count.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from alias_scope.arrays import write_npy
+from alias_scope.cli import main
+from alias_scope.freqmix import WEIGHT_FIELDS
+
+MIB = 2**20
+FEATURES = (8, 128, 128)  # one float64 unit is 1 MiB
+GRID = 512  # `response` map, 2 MiB of float64
+BANK = (16, 16, 32, 32)  # 16 filters of 16384 taps, 2 MiB of float64
+MASK = (256, 512)
+
+
+def labels(n_classes: int) -> np.ndarray:
+    """32-pixel squares, 8 x 16 of them, with classes dealt round-robin."""
+    h, w = MASK
+    rows, cols = np.arange(h)[:, None] // 32, np.arange(w)[None, :] // 32
+    return ((rows * (w // 32) + cols) % n_classes).astype(np.uint8)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cost")
+    rng = np.random.default_rng(0)
+    paths = {"dir": tmp}
+
+    def put(name, arr):
+        paths[name] = tmp / f"{name}.npy"
+        write_npy(paths[name], arr)
+
+    c, h, w = FEATURES
+    put("feat", rng.standard_normal(FEATURES).astype("<f4"))
+    put("bank", rng.standard_normal(BANK).astype("<f4"))
+    (tmp / "weights").mkdir()
+    for name in WEIGHT_FIELDS:
+        shape = (c,) if name.endswith("channel") else (h, w)
+        write_npy(tmp / "weights" / f"{name}.npy", rng.standard_normal(shape))
+    put("score", rng.uniform(0.0, 1.0, MASK).astype("<f4"))
+    for n in (4, 64):
+        gt = labels(n)
+        gt[-16:] = 255  # an ignore strip
+        put(f"gt{n}", gt)
+        put(f"pred{n}", np.roll(labels(n), 5, axis=1))
+    return paths
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes traced over one warm `cli.main(argv)`, its report included."""
+    argv = [str(a) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def cases(p):
+    """command -> (argv, bound in bytes)."""
+    out = p["dir"]
+    feat, unit = p["feat"], np.prod(FEATURES) * 8
+    cutoff = ["--cutoff", 0.25]
+    mask = ["--score", p["score"], "--pred", p["pred4"], "--gt", p["gt4"]]
+    return {
+        "esr": (["esr", "--kernel", 3, "--cin", 8, "--cout", 16, "--stride", 2], 0.02 * MIB),
+        "fold": (["fold", "--freq", 0.4, "--stride", 2], 0.02 * MIB),
+        "score": (["score", feat, *cutoff], 4.9 * unit),
+        "daf": (["daf", feat, *cutoff, "--out", out / "daf.npy"], 2.9 * unit),
+        "split": (["split", feat, *cutoff, "--out-low", out / "low.npy",
+                   "--out-high", out / "high.npy"], 2.9 * unit),
+        "blur": (["blur", feat, "--out", out / "blur.npy"], 2.75 * unit),
+        "noise": (["noise", feat, "--sigma", 0.5, "--out", out / "noise.npy"], 1.8 * unit),
+        "freqmix": (["freqmix", feat, *cutoff, "--weights-dir", out / "weights",
+                     "--out", out / "mix.npy"], 4.3 * unit),
+        "analyze --features": (["analyze", "--features", feat, *cutoff], 1.25 * unit),
+        "response": (["response", "--builtin", "binomial3", "--grid", GRID,
+                      "--map-out", out / "map.npy"], 5.5 * GRID**2 * 8),
+        "orth": (["orth", p["bank"]], 3.3 * np.prod(BANK) * 8),
+        "metrics": (["metrics", p["pred4"], p["gt4"]], 1.4 * MIB),
+        "analyze --score": (["analyze", *mask], 2.5 * MIB),
+    }
+
+
+COMMANDS = [
+    "esr", "fold", "score", "daf", "split", "blur", "noise", "freqmix",
+    "analyze --features", "response", "orth", "metrics", "analyze --score",
+]
+
+
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    monkeypatch.setenv("ALIAS_SCOPE_THREADS", "1")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_peak_within_contract(files, command):
+    argv, bound = cases(files)[command]
+    peak = traced_peak(argv)
+    assert peak <= bound, f"{command}: peak {peak / MIB:.2f} MiB, bound {bound / MIB:.2f} MiB"
+
+
+@pytest.mark.parametrize("command", ["metrics", "analyze"])
+def test_mask_peak_independent_of_class_count(files, command):
+    # one class's band pair is held at a time, so 64 classes cost what 4 do
+    def argv(n):
+        pred, gt = files[f"pred{n}"], files[f"gt{n}"]
+        if command == "metrics":
+            return ["metrics", pred, gt]
+        return ["analyze", "--score", files["score"], "--pred", pred, "--gt", gt]
+
+    few, many = traced_peak(argv(4)), traced_peak(argv(64))
+    assert many <= 1.25 * few, f"{few / MIB:.2f} MiB at 4 classes, {many / MIB:.2f} at 64"

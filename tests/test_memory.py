@@ -24,8 +24,8 @@ from alias_scope.antialias import (
     binomial_blur,
     daf,
 )
-from alias_scope.arrays import FeatureTensor
-from alias_scope.cli import _sha256
+from alias_scope.arrays import FeatureTensor, write_npy
+from alias_scope.cli import _load_score_map, _sha256
 from alias_scope.freqmix import FreqMixWeights, freqmix_apply, frequency_split
 from alias_scope.sampling import FilterBank, filter_bank_orthogonality
 from alias_scope.spectral import FreqGrid, fft2, power_spectrum
@@ -230,3 +230,13 @@ def test_noise_adds_in_place():
     buffer = data.size * 8
     # the noise, which becomes the output; noise plus a sum made it two
     assert traced_peak(add_gaussian_noise, f, 0.5, 7) <= 1.25 * buffer
+
+
+def test_float64_score_map_loads_without_a_copy(tmp_path):
+    path = tmp_path / "score.npy"
+    values = np.random.default_rng(0).uniform(0.0, 1.0, (512, 1024))
+    write_npy(path, values)
+    # the array read from the file becomes the map; astype without
+    # copy=False made a second one
+    assert traced_peak(_load_score_map, path) <= 1.25 * values.nbytes
+    assert np.array_equal(_load_score_map(path).values, values)

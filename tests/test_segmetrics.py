@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alias_scope import segmetrics
 from alias_scope.arrays import BinaryMask, LabelMask
 from alias_scope.errors import ShapeError, ValidationError
 from alias_scope.segmetrics import (
@@ -352,9 +353,9 @@ def test_class_band_pairs_match_single_class_and_oracles(h, w, n_classes, d, see
     rng = np.random.default_rng(seed)
     pred = LabelMask(rng.integers(0, n_classes, (h, w)).astype(np.uint8))
     gt = LabelMask(rng.integers(0, n_classes, (h, w)).astype(np.uint8))
-    pairs = class_band_pairs(pred, gt, d)
-    errors = multiclass_errors(pairs)
-    boundary = multiclass_boundary(pairs)
+    pairs = dict(class_band_pairs(pred, gt, d))
+    errors = multiclass_errors(pairs.items())
+    boundary = multiclass_boundary(pairs.items())
     assert set(pairs) == set(np.unique(pred.data)) | set(np.unique(gt.data))
     for c, pair in pairs.items():
         p, g = pred.data == c, gt.data == c
@@ -377,6 +378,26 @@ def test_class_band_pairs_match_single_class_and_oracles(h, w, n_classes, d, see
         )
         baseline = oracles.boundary_error_rates(g, g, d)[2]
         assert pair.derr_baseline() == error_metrics(bm(g), bm(g), d).derr == baseline
+        assert errors.per_class_baseline[c] == baseline
+
+
+def test_class_band_pairs_builds_each_pair_when_asked(monkeypatch):
+    calls = []
+    real = segmetrics.band_pair
+    monkeypatch.setattr(segmetrics, "band_pair", lambda *a: calls.append(a) or real(*a))
+    labels = LabelMask(np.array([[0, 0, 1], [2, 2, 1], [2, 3, 3]], dtype=np.uint8))
+    pairs = class_band_pairs(labels, labels, d=1)
+    assert calls == []
+    assert next(pairs)[0] == 0 and len(calls) == 1
+    assert [c for c, _ in pairs] == [1, 2, 3]
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
+def test_blocked_bincount_matches_bincount(block):
+    labels = np.random.default_rng(block).integers(0, 7, 1000).astype(np.uint8)
+    want = np.bincount(labels, minlength=9)
+    assert np.array_equal(segmetrics._bincount(labels, 9, block), want)
 
 
 # --- defaults
