@@ -13,6 +13,7 @@ from .antialias import (
 )
 from .arrays import (
     BinaryMask,
+    FeatureFile,
     FeatureTensor,
     LabelMask,
     class_mask,

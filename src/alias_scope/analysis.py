@@ -6,7 +6,10 @@ on sliding windows (window/stride/cutoff recorded in the map metadata),
 assigned to window centers, and spread to the remaining pixels by nearest
 computed center.  The centers form a grid (center rows x center columns),
 so a pixel's nearest center is its nearest center row crossed with its
-nearest center column, ties going to the lower one.
+nearest center column, ties going to the lower one.  The windows of one
+center row lie in one (C, window, W) band of rows, so the map reads the
+features one band at a time, from a FeatureTensor in memory or from a
+FeatureFile on disk, and never holds more than two bands.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antialias import CutoffSpec, aliasing_score
-from .arrays import BinaryMask, FeatureTensor, LabelMask
+from .arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, row_blocks
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
 from .segmetrics import BandPair, error_type_masks
 
@@ -85,36 +88,44 @@ def _nearest(starts: list[int], window: int, extent: int) -> np.ndarray:
 
 
 def patch_aliasing_map(
-    f: FeatureTensor, window: int, stride: int, cutoff: CutoffSpec
+    f: FeatureTensor | FeatureFile, window: int, stride: int, cutoff: CutoffSpec
 ) -> ScoreMap:
     """Sliding-window aliasing scores spread to every pixel.
 
     Each window's per-channel-mean score lands on its center pixel;
-    pixels without a computed center take the nearest one.
+    pixels without a computed center take the nearest one.  The windows
+    are taken from one (C, window, W) band of rows per window row, from
+    memory or from the file; the next band is read while the pool scores
+    this one's windows, so at most two bands are held.  Rows that no
+    window covers (a stride past the window) are read and checked too.
     """
     if window < 1 or stride < 1:
         raise SizeError("window and stride must be positive")
-    c, h, w = f.data.shape
+    h, w = f.height, f.width
     if window > min(h, w):
         raise SizeError(f"window {window} exceeds image {h}x{w}")
     ys = _window_starts(h, window, stride)
     xs = _window_starts(w, window, stride)
-    positions = [(y, x) for y in ys for x in xs]
 
-    def score_at(pos: tuple[int, int]) -> float:
-        y, x = pos
-        patch = FeatureTensor(f.data[:, y : y + window, x : x + window])
+    def score_at(band: np.ndarray, x: int) -> float:
+        patch = FeatureTensor(band[:, :, x : x + window])
         try:
             return aliasing_score(patch, cutoff, mode="per_channel_mean")
         except UndefinedRatioError:
             return 0.0  # zero-power window carries no aliasing energy
 
-    workers = worker_count()
-    if workers > 1 and len(positions) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(score_at, positions))
-    else:
-        scores = [score_at(p) for p in positions]
+    scores, pending, read_to = [], [], 0
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        for y in ys:
+            # a stride past the window skips rows; read them, a band at a
+            # time, only so that they are checked
+            for g in range(read_to, y, window):
+                f.rows(g, min(g + window, y))
+            band = f.rows(y, y + window)
+            read_to = y + window
+            done, pending = pending, [pool.submit(score_at, band, x) for x in xs]
+            scores += [s.result() for s in done]  # frees the previous band
+        scores += [s.result() for s in pending]
 
     grid = np.reshape(scores, (len(ys), len(xs)))
     values = grid[np.ix_(_nearest(ys, window, h), _nearest(xs, window, w))]
@@ -209,9 +220,7 @@ def _count_by_bin(
     never span the image.  `_bin_index` works element by element, so the
     counts do not depend on the blocks."""
     counts = np.zeros(n_bins, dtype=np.intp)
-    step = max(1, block // max(1, scores.shape[1]))
-    for start in range(0, scores.shape[0], step):
-        rows = slice(start, start + step)
+    for rows in row_blocks(scores.shape, block):
         counts += np.bincount(_bin_index(scores[rows][select[rows]], n_bins), minlength=n_bins)
     return counts
 

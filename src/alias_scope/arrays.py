@@ -39,50 +39,58 @@ INT_DTYPES = (np.dtype("|u1"), np.dtype("<i4"), np.dtype("<u2"))
 DEFAULT_IGNORE_VALUE = 255
 
 
+def _npy_header(fh, path) -> tuple[np.dtype, tuple[int, ...]]:
+    """Check an NPY v1.0 header and its payload size, leaving `fh` at the
+    payload; return the payload's dtype and shape."""
+    prefix = fh.read(10)
+    if len(prefix) < 10 or prefix[:6] != NPY_MAGIC:
+        raise FormatError(f"{path}: not an NPY file (bad magic)")
+    major, minor = prefix[6], prefix[7]
+    if (major, minor) != (1, 0):
+        raise FormatError(f"{path}: unsupported NPY version {major}.{minor}")
+    header_len = int.from_bytes(prefix[8:10], "little")
+    header_bytes = fh.read(header_len)
+    if len(header_bytes) < header_len:
+        raise FormatError(f"{path}: truncated header")
+    try:
+        header = ast.literal_eval(header_bytes.decode("ascii").strip())
+    except (UnicodeDecodeError, ValueError, SyntaxError) as exc:
+        raise FormatError(f"{path}: unparseable header") from exc
+    keys = {"descr", "fortran_order", "shape"}
+    if not isinstance(header, dict) or set(header) != keys:
+        raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
+    descr = header["descr"]
+    if not isinstance(descr, str) or descr not in _DESCR_TO_DTYPE:
+        raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
+    if header["fortran_order"] is not False:
+        raise FormatError(f"{path}: fortran_order must be False")
+    shape = header["shape"]
+    if not (
+        isinstance(shape, tuple)
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise FormatError(f"{path}: bad shape {shape!r}")
+    dtype = _DESCR_TO_DTYPE[descr]
+    count = math.prod(shape)  # Python ints: no overflow, () gives 1
+    expected = count * dtype.itemsize
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload != expected:
+        raise FormatError(
+            f"{path}: payload is {payload} bytes, expected {expected}"
+        )
+    if count == 0:  # a payload that fits the file fits numpy; an empty one may not
+        try:
+            np.empty(0, dtype=dtype).reshape(shape)
+        except ValueError as exc:
+            raise FormatError(f"{path}: shape {shape!r} is too large") from exc
+    return dtype, shape
+
+
 def read_npy(path) -> np.ndarray:
     """Read an NPY v1.0 file into a C-ordered array of a supported dtype."""
     with open(path, "rb") as fh:
-        prefix = fh.read(10)
-        if len(prefix) < 10 or prefix[:6] != NPY_MAGIC:
-            raise FormatError(f"{path}: not an NPY file (bad magic)")
-        major, minor = prefix[6], prefix[7]
-        if (major, minor) != (1, 0):
-            raise FormatError(f"{path}: unsupported NPY version {major}.{minor}")
-        header_len = int.from_bytes(prefix[8:10], "little")
-        header_bytes = fh.read(header_len)
-        if len(header_bytes) < header_len:
-            raise FormatError(f"{path}: truncated header")
-        try:
-            header = ast.literal_eval(header_bytes.decode("ascii").strip())
-        except (UnicodeDecodeError, ValueError, SyntaxError) as exc:
-            raise FormatError(f"{path}: unparseable header") from exc
-        keys = {"descr", "fortran_order", "shape"}
-        if not isinstance(header, dict) or set(header) != keys:
-            raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
-        descr = header["descr"]
-        if not isinstance(descr, str) or descr not in _DESCR_TO_DTYPE:
-            raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
-        if header["fortran_order"] is not False:
-            raise FormatError(f"{path}: fortran_order must be False")
-        shape = header["shape"]
-        if not (
-            isinstance(shape, tuple)
-            and all(type(n) is int and n >= 0 for n in shape)
-        ):
-            raise FormatError(f"{path}: bad shape {shape!r}")
-        dtype = _DESCR_TO_DTYPE[descr]
-        count = math.prod(shape)  # Python ints: no overflow, () gives 1
-        expected = count * dtype.itemsize
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != expected:
-            raise FormatError(
-                f"{path}: payload is {payload} bytes, expected {expected}"
-            )
-        arr = np.fromfile(fh, dtype=dtype, count=count)
-    try:
-        return arr.reshape(shape)
-    except ValueError as exc:  # a zero-size shape numpy cannot address
-        raise FormatError(f"{path}: shape {shape!r} is too large") from exc
+        dtype, shape = _npy_header(fh, path)
+        return np.fromfile(fh, dtype=dtype, count=math.prod(shape)).reshape(shape)
 
 
 def write_npy(path, arr: np.ndarray) -> None:
@@ -106,6 +114,14 @@ def write_npy(path, arr: np.ndarray) -> None:
         fh.write(len(header).to_bytes(2, "little"))
         fh.write(header.encode("ascii"))
         arr.astype(dtype, copy=False).tofile(fh)  # no bytes copy of the payload
+
+
+def row_blocks(shape: tuple[int, ...], block: int = 1 << 16) -> list[slice]:
+    """Slices of consecutive rows of an (H, W) grid, about `block` pixels
+    each and at least one row, so a per-block temporary never spans the
+    grid."""
+    step = max(1, block // max(1, shape[1]))
+    return [slice(y, y + step) for y in range(0, shape[0], step)]
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,10 @@ class FeatureTensor:
     @property
     def width(self) -> int:
         return self.data.shape[2]
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1 of every channel, as a (C, y1 - y0, W) view."""
+        return self.data[:, y0:y1]
 
 
 @dataclass(frozen=True)
@@ -171,14 +191,20 @@ class LabelMask:
     def width(self) -> int:
         return self.data.shape[1]
 
-    def validate_classes(self, n_classes: int) -> None:
-        labels = self.data
-        if self.ignore_value is not None:
-            labels = labels[labels != self.ignore_value]
-        if labels.size and int(labels.max()) >= n_classes:
-            raise ValidationError(
-                f"label {int(labels.max())} out of range for {n_classes} classes"
-            )
+    def validate_classes(self, n_classes: int) -> int:
+        """Check that every label but the ignore value is below n_classes,
+        one block of rows at a time; return the largest such label, or -1
+        when there is none."""
+        top = -1
+        for rows in row_blocks(self.data.shape):
+            labels = self.data[rows]
+            if self.ignore_value is not None:
+                labels = labels[labels != self.ignore_value]
+            if labels.size:
+                top = max(top, int(labels.max()))
+        if top >= n_classes:
+            raise ValidationError(f"label {top} out of range for {n_classes} classes")
+        return top
 
     def present_classes(self) -> list[int]:
         if self.data.dtype.itemsize <= 2:
@@ -238,6 +264,43 @@ def load_array(path, ignore_value: int | None = DEFAULT_IGNORE_VALUE):
             )
         return FeatureTensor(arr)
     raise ValidationError(f"{path}: expected 2D or 3D array, got {arr.ndim}D")
+
+
+class FeatureFile:
+    """A float feature tensor left in its NPY file and read a band of rows
+    at a time, so the whole tensor is never held.
+
+    Opening checks the header as read_npy does and applies load_array's
+    type rules without reading the payload: a 2D float array is one
+    channel, and any input that load_array would not make a FeatureTensor
+    fails as it does there.  Each band read goes through FeatureTensor's
+    checks, so a NaN/Inf fails with its message.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            dtype, shape = _npy_header(fh, path)
+            self._offset = fh.tell()
+        if dtype not in FLOAT_DTYPES or len(shape) not in (2, 3) or 0 in shape:
+            # load_array raises, or returns a label mask after its checks;
+            # a zero-size payload costs nothing to load
+            load_array(path)
+            raise ValidationError(f"{path}: expected a float feature tensor")
+        shape = shape if len(shape) == 3 else (1, *shape)
+        self.path = path
+        self.dtype = dtype
+        self.channels, self.height, self.width = shape
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1 of every channel, one seek and read per channel."""
+        band = np.empty((self.channels, y1 - y0, self.width), dtype=self.dtype)
+        row_bytes = self.width * self.dtype.itemsize
+        with open(self.path, "rb") as fh:
+            for c, plane in enumerate(band):
+                fh.seek(self._offset + (c * self.height + y0) * row_bytes)
+                if fh.readinto(plane) != plane.nbytes:
+                    raise FormatError(f"{self.path}: payload shorter than its header")
+        return FeatureTensor(band).data  # checks the band is finite, no copy
 
 
 def save_array(obj, path) -> None:

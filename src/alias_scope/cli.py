@@ -47,6 +47,7 @@ from .antialias import (
     score_from_power,
 )
 from .arrays import (
+    FeatureFile,
     FeatureTensor,
     LabelMask,
     class_mask,
@@ -209,9 +210,9 @@ def _resolve_cutoff(args, default: float | None = None) -> tuple[str, float]:
 
 
 def _sha256(path) -> str:
-    """Digest of a file, read in 1 MiB blocks so no input is held twice."""
+    """Digest of a file, read in 256 KiB blocks so no input is held twice."""
     digest = hashlib.sha256()
-    block = bytearray(1 << 20)
+    block = bytearray(1 << 18)
     view = memoryview(block)
     with open(path, "rb") as fh:
         while n := fh.readinto(block):
@@ -444,11 +445,12 @@ def cmd_analyze(args) -> None:
     config = _run_config(args, source, cutoff)
     if config.bins < 2:
         raise InputError(f"bins must be >= 2, got {config.bins}")
-    # neither the feature tensor nor the raw score array outlives the map
+    # the features are read a band of rows at a time, and the raw score
+    # array does not outlive the map
     if args.features is not None:
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
-            _load_feature(args.features), config.window, config.stride, CutoffSpec(cutoff)
+            FeatureFile(args.features), config.window, config.stride, CutoffSpec(cutoff)
         )
     else:
         inputs["score"] = args.score

@@ -32,7 +32,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arrays import BinaryMask, LabelMask, class_mask
+from .arrays import BinaryMask, LabelMask, class_mask, row_blocks
 from .errors import ShapeError
 
 DEFAULT_BAND_WIDTH = 15
@@ -364,12 +364,25 @@ def multiclass_errors(pairs: Iterable[tuple[int, BandPair]]) -> ErrorBreakdown:
     return ErrorBreakdown(per_class, baseline, per_iou, per_acc, *rates, *scores)
 
 
-def _bincount(labels: np.ndarray, size: int, block: int = 1 << 16) -> np.ndarray:
-    """`np.bincount(labels, minlength=size)` for labels below `size`, taken
-    in blocks: bincount casts its input to intp, 8 bytes per label."""
-    counts = np.zeros(size, dtype=np.intp)
-    for start in range(0, labels.size, block):
-        counts += np.bincount(labels[start : start + block], minlength=size)
+def _valid_label_counts(
+    pred: LabelMask, gt: LabelMask, size: int, block: int = 1 << 16
+) -> np.ndarray:
+    """Per-label counts over the pixels that neither mask ignores: rows are
+    where gt and pred agree, gt, and pred.  Taken in blocks of rows of
+    about `block` pixels, so no full-size mask, copy or intp cast is made;
+    the counts are integers and do not depend on the blocks."""
+    counts = np.zeros((3, size), dtype=np.intp)
+    for rows in row_blocks(gt.data.shape, block):
+        g, p = gt.data[rows], pred.data[rows]
+        valid = np.ones(g.shape, dtype=bool)
+        if gt.ignore_value is not None:
+            valid &= g != gt.ignore_value
+        if pred.ignore_value is not None:
+            valid &= p != pred.ignore_value
+        g, p = g[valid], p[valid]
+        counts[0] += np.bincount(g[g == p], minlength=size)
+        counts[1] += np.bincount(g, minlength=size)
+        counts[2] += np.bincount(p, minlength=size)
     return counts
 
 
@@ -388,20 +401,11 @@ def miou(
         raise ShapeError(
             f"mask shapes differ: {pred.data.shape} vs {gt.data.shape}"
         )
-    gt.validate_classes(n_classes)
-    pred.validate_classes(n_classes)
-    valid = np.ones(gt.data.shape, dtype=bool)
-    if gt.ignore_value is not None:
-        valid &= gt.data != gt.ignore_value
-    if pred.ignore_value is not None:
-        valid &= pred.data != pred.ignore_value
-    # diagonal and marginals of the confusion matrix over valid pixels,
-    # sized by the largest label present, not by n_classes
-    g, p = gt.data[valid], pred.data[valid]
-    size = int(max(g.max(), p.max())) + 1 if g.size else 0
-    inter = _bincount(g[g == p], size)
-    in_gt = _bincount(g, size)
-    union = in_gt + _bincount(p, size) - inter
+    # the diagonal and marginals of the confusion matrix are sized by the
+    # largest label present, not by n_classes
+    size = max(gt.validate_classes(n_classes), pred.validate_classes(n_classes)) + 1
+    inter, in_gt, in_pred = _valid_label_counts(pred, gt, size)
+    union = in_gt + in_pred - inter
     keep = in_gt > 0 if gt_classes_only else union > 0
     ious = [int(i) / int(u) for i, u in zip(inter[keep], union[keep])]
     return sum(ious) / len(ious) if ious else None

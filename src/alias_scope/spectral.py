@@ -150,7 +150,10 @@ def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
     """Magnitude response of a 2D kernel on an N x N grid, DC at the center.
 
     Uses the unnormalized transform of the zero-padded kernel, so an
-    all-pass 1x1 kernel [1] reports a flat response of 1.
+    all-pass 1x1 kernel [1] reports a flat response of 1.  The kernel is
+    real, so its rfft2 half spectrum holds every magnitude: the centered
+    map takes columns 0 .. N - 1 - N//2 from it directly and the rest from
+    the mirror |F(k, l)| = |F(-k, -l)|, and no full complex grid is made.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2:
@@ -158,10 +161,16 @@ def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
     kh, kw = kernel.shape
     if kh > grid or kw > grid:
         raise SizeError(f"kernel {kernel.shape} larger than {grid}x{grid} grid")
-    padded = np.zeros((grid, grid), dtype=np.float64)
-    padded[:kh, :kw] = kernel
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
-        response = np.abs(np.fft.fft2(padded))
-    if not np.all(np.isfinite(response)):
+        half = np.abs(np.fft.rfft2(kernel, s=(grid, grid)))  # zero-pads the kernel
+    if not np.all(np.isfinite(half)):
         raise ValidationError("kernel or its response is not finite")
-    return np.fft.fftshift(response, axes=(-2, -1))
+    # centered row i holds frequency row (i - s) mod N, and column j column
+    # (j - s) mod N, with s = N//2 as in np.fft.fftshift
+    s, n = grid // 2, grid - grid // 2
+    out = np.empty((grid, grid))
+    out[s:, s:] = half[:n, :n]
+    out[:s, s:] = half[n:, :n]
+    out[: s + 1, :s] = half[s::-1, s:0:-1]
+    out[s + 1 :, :s] = half[: s : -1, s:0:-1]
+    return out

@@ -1,8 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope import analysis
@@ -15,7 +17,7 @@ from alias_scope.analysis import (
     worker_count,
 )
 from alias_scope.antialias import CutoffSpec, aliasing_score
-from alias_scope.arrays import BinaryMask, FeatureTensor, LabelMask
+from alias_scope.arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, write_npy
 from alias_scope.errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
 from alias_scope.segmetrics import boundary_band, class_band_pairs
 from alias_scope.synth import tone
@@ -141,6 +143,86 @@ def test_patch_map_fill_matches_brute_force(h, w, window, stride, probe, seed):
         got = patch_aliasing_map(FeatureTensor(data), window, stride, QUARTER).values
     assert got.shape == (h, w)
     assert np.array_equal(got, expected)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["<f4", "<f8"]),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example("<f4", False, 2, 8, 12, 8, 3, False, 0)  # H == window: one band
+@example("<f8", True, 1, 19, 16, 6, 4, True, 1)  # 2D input, clamped last window
+def test_banded_map_equals_in_memory_map(dtype, flat, c, h, w, window, stride, zero, seed):
+    # the map from the file, one window-row band at a time, against the map
+    # of the whole tensor in memory; `zero` adds zero-power windows
+    window = min(window, h, w)
+    data = np.random.default_rng(seed).standard_normal((c, h, w)).astype(dtype)
+    if zero:
+        data[:, : h // 2 + 1, : w // 2 + 1] = 0.0
+    if flat:
+        data = data[:1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.npy"
+        write_npy(path, data[0] if flat else data)
+        banded = patch_aliasing_map(FeatureFile(path), window, stride, QUARTER)
+    whole = patch_aliasing_map(FeatureTensor(data), window, stride, QUARTER)
+    assert np.array_equal(banded.values, whole.values)
+    assert banded.metadata() == whole.metadata()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_banded_map_rejects_nan_anywhere(h, w, window, stride, seed):
+    # every row is read and checked, also rows that a stride past the
+    # window leaves out of every window
+    window = min(window, h, w)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((2, h, w))
+    data[rng.integers(2), rng.integers(h), rng.integers(w)] = np.nan
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.npy"
+        write_npy(path, data)
+        with pytest.raises(ValidationError, match="feature tensor contains NaN/Inf"):
+            patch_aliasing_map(FeatureFile(path), window, stride, QUARTER)
+
+
+@pytest.mark.parametrize("window, stride", [(0, 1), (4, 0), (9, 1)])
+def test_banded_map_rejects_bad_windows_as_in_memory(tmp_path, window, stride):
+    data = np.ones((2, 8, 8))
+    path = tmp_path / "f.npy"
+    write_npy(path, data)
+    messages = []
+    for source in (FeatureFile(path), FeatureTensor(data)):
+        with pytest.raises(SizeError) as exc:
+            patch_aliasing_map(source, window, stride, QUARTER)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_feature_file_rows_read_each_channel_band(tmp_path):
+    data = np.arange(3 * 7 * 5, dtype="<f4").reshape(3, 7, 5)
+    path = tmp_path / "f.npy"
+    write_npy(path, data)
+    f = FeatureFile(path)
+    assert (f.channels, f.height, f.width, f.dtype) == (3, 7, 5, np.dtype("<f4"))
+    for y0, y1 in [(0, 7), (2, 5), (6, 7)]:
+        band = f.rows(y0, y1)
+        assert band.dtype == data.dtype
+        assert np.array_equal(band, data[:, y0:y1])
+        assert np.array_equal(band, FeatureTensor(data).rows(y0, y1))
 
 
 def test_worker_count_env_cap(monkeypatch):

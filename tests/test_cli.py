@@ -397,6 +397,52 @@ def test_analyze_external_score_map(capsys, tmp_path):
     assert report["result"]["score_map"]["mode"] == "external"
 
 
+def _bad_features(tmp_path, fault):
+    """A --features file with one fault, and the stderr line it must give."""
+    path = tmp_path / "feat.npy"
+    data = white_noise((2, 16, 16), seed=5).data
+    line = "feature tensor contains NaN/Inf"
+    if fault == "nan-in-gap":
+        # windows of 4 at stride 8 cover rows 0-3, 8-11, ...; row 5 lies
+        # in no window, yet the whole-file load rejected it
+        data = white_noise((2, 40, 40), seed=5).data
+        data[0, 5, 3] = np.nan
+        write_npy(path, data)
+    elif fault in ("nan-first-row", "inf-last-row"):
+        data[1, 0 if fault == "nan-first-row" else -1, 3] = np.nan if "nan" in fault else np.inf
+        write_npy(path, data)
+    elif fault == "truncated":
+        write_npy(path, data)
+        path.write_bytes(path.read_bytes()[:-8])
+        line = f"{path}: payload is {data.nbytes - 8} bytes, expected {data.nbytes}"
+    elif fault == "3d-int":
+        write_npy(path, np.zeros((2, 16, 16), dtype=np.int32))
+        line = f"{path}: 3D integer arrays have no interpretation here"
+    elif fault == "2d-int":
+        write_npy(path, np.zeros((16, 16), dtype=np.uint8))
+        line = f"{path}: expected a float feature tensor"
+    else:
+        write_npy(path, data[None])
+        line = f"{path}: expected 2D or 3D array, got 4D"
+    return path, f"alias-scope: error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "fault, window, stride",
+    [(f, 8, 4) for f in ("nan-first-row", "inf-last-row", "truncated", "3d-int", "2d-int", "4d")]
+    + [("nan-in-gap", 4, 8)],
+)
+def test_analyze_bad_features_exit_2(capsys, tmp_path, fault, window, stride):
+    # the features are read a band at a time, yet each fault gives the line
+    # the whole-file load gave, and no report
+    path, line = _bad_features(tmp_path, fault)
+    code, out, err = run(
+        capsys, "analyze", "--features", path, "--cutoff", 0.25,
+        "--window", window, "--stride-px", stride,
+    )
+    assert (code, out, err) == (2, "", line)
+
+
 def test_analyze_needs_exactly_one_source(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--bins", 4)
     assert code == 2

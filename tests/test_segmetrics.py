@@ -395,9 +395,17 @@ def test_class_band_pairs_builds_each_pair_when_asked(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
 def test_blocked_bincount_matches_bincount(block):
-    labels = np.random.default_rng(block).integers(0, 7, 1000).astype(np.uint8)
-    want = np.bincount(labels, minlength=9)
-    assert np.array_equal(segmetrics._bincount(labels, 9, block), want)
+    # miou's counts in blocks of rows (1, 1, 2 and all 40 rows of 25
+    # pixels) against whole-image bincounts over the pixels neither mask ignores
+    rng = np.random.default_rng(block)
+    gt, pred = rng.integers(0, 7, (2, 40, 25)).astype(np.uint8)
+    gt[rng.random(gt.shape) < 0.2] = 255
+    pred[rng.random(pred.shape) < 0.2] = 255
+    valid = (gt != 255) & (pred != 255)
+    g, p = gt[valid], pred[valid]
+    want = [np.bincount(x, minlength=9) for x in (g[g == p], g, p)]
+    got = segmetrics._valid_label_counts(LabelMask(pred), LabelMask(gt), 9, block)
+    assert np.array_equal(got, want)
 
 
 # --- defaults

@@ -217,6 +217,28 @@ def test_response_binomial3_closed_form():
     assert np.all(np.diff(col) < 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(-6, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_response_matches_full_fft2(grid, kh, kw, exponent, seed):
+    # the half-spectrum map against the full transform it replaced, on odd
+    # and even grids: an even grid's +1/2 column comes from the mirror
+    kernel = 10.0**exponent * np.random.default_rng(seed).standard_normal(
+        (min(kh, grid), min(kw, grid))
+    )
+    padded = np.zeros((grid, grid))
+    padded[: kernel.shape[0], : kernel.shape[1]] = kernel
+    full = np.fft.fftshift(np.abs(np.fft.fft2(padded)))
+    got = filter_frequency_response(kernel, grid)
+    assert got.shape == (grid, grid)
+    assert np.abs(got - full).max() <= 1e-14 * full.max()
+
+
 def test_response_kernel_too_large():
     with pytest.raises(SizeError):
         filter_frequency_response(np.ones((5, 5)), 4)
