@@ -16,6 +16,7 @@ from .arrays import (
     FeatureFile,
     FeatureTensor,
     LabelMask,
+    ScoreFile,
     class_mask,
     load_array,
     read_npy,
@@ -24,6 +25,7 @@ from .arrays import (
 )
 from .analysis import (
     BinnedCurve,
+    PixelCrossEntropy,
     ScoreMap,
     bin_by_score,
     error_type_distribution,

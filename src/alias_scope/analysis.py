@@ -10,6 +10,11 @@ nearest center column, ties going to the lower one.  The windows of one
 center row lie in one (C, window, W) band of rows, so the map reads the
 features one band at a time, from a FeatureTensor in memory or from a
 FeatureFile on disk, and never holds more than two bands.
+
+Binning takes its per-pixel inputs the same way, a block of rows at a
+time: the score map from memory or from its file (ScoreFile), the
+cross-entropy computed from probabilities in memory or in their file, and
+the masks from bools or from packed rows.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antialias import CutoffSpec, aliasing_score
-from .arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, row_blocks
+from .arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, ScoreFile, row_blocks
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
-from .segmetrics import BandPair, error_type_masks
+from .segmetrics import BandPair, PackedMask, error_type_masks
 
 THREADS_ENV = "ALIAS_SCOPE_THREADS"
 
@@ -43,21 +48,33 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class ScoreMap:
-    """Per-pixel score in [0, 1] plus the parameters that produced it."""
+    """Per-pixel score in [0, 1] plus the parameters that produced it.  The
+    (H, W) values are held in memory or left in their file; `rows` gives a
+    block of rows from either."""
 
-    values: np.ndarray  # (H, W) float
+    values: np.ndarray | ScoreFile  # (H, W) float
     window: int
     stride: int
     cutoff: float
     mode: str = "per_channel_mean"
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1, a view of the map in memory or read from its file."""
+        if isinstance(self.values, ScoreFile):
+            return self.values.rows(y0, y1)
+        return self.values[y0:y1]
 
     def metadata(self) -> dict:
         return {
@@ -132,31 +149,50 @@ def patch_aliasing_map(
     return ScoreMap(values, window, stride, cutoff.cutoff)
 
 
-def pixel_cross_entropy(probs: FeatureTensor, gt: LabelMask) -> np.ndarray:
-    """Per-pixel -log p(true class); ignored pixels come back as NaN.
+class PixelCrossEntropy:
+    """Per-pixel -log p(true class) of a (C, H, W) probability tensor held
+    in memory (FeatureTensor) or left in its file (FeatureFile), computed a
+    block of rows at a time; ignored pixels come back as NaN.
 
     p is clamped to the smallest normal float64 before the log, so a true
     class given probability 0 costs -log(tiny) ~= 708.4 rather than +inf.
+    The grids must match and every label must be below C, checked here once;
+    each block of probabilities must form a simplex, checked as it is read.
     """
-    c, h, w = probs.data.shape
-    if (h, w) != gt.data.shape:
-        raise ShapeError(
-            f"probability grid {probs.data.shape} does not match mask "
-            f"{gt.data.shape}"
-        )
-    data = probs.data
-    if np.any(data < -1e-6) or np.any(np.abs(data.sum(axis=0) - 1.0) > 1e-6):
-        raise ValidationError("per-pixel probabilities do not form a simplex")
-    gt.validate_classes(c)
-    labels = gt.data
-    valid = np.ones((h, w), dtype=bool)
-    if gt.ignore_value is not None:
-        valid = labels != gt.ignore_value
-    out = np.full((h, w), np.nan)
-    safe_labels = np.where(valid, labels, 0).astype(np.int64)
-    picked = np.take_along_axis(data, safe_labels[None, :, :], axis=0)[0]
-    out[valid] = -np.log(np.maximum(picked[valid], np.finfo(np.float64).tiny))
-    return out
+
+    def __init__(self, probs: FeatureTensor | FeatureFile, gt: LabelMask):
+        grid = (probs.channels, probs.height, probs.width)
+        if grid[1:] != gt.data.shape:
+            raise ShapeError(f"probability grid {grid} does not match mask {gt.data.shape}")
+        gt.validate_classes(probs.channels)
+        self.probs, self.gt = probs, gt
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.gt.data.shape
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1, from blocks of about 65536 probabilities, so
+        the rows read at once do not grow with C."""
+        out = np.full((y1 - y0, self.gt.width), np.nan)
+        for rows in row_blocks((self.probs.channels, y1 - y0, self.gt.width)):
+            a, b = y0 + rows.start, y0 + rows.stop
+            data = self.probs.rows(a, b)
+            if np.any(data < -1e-6) or np.any(np.abs(data.sum(axis=0) - 1.0) > 1e-6):
+                raise ValidationError("per-pixel probabilities do not form a simplex")
+            labels = self.gt.data[a:b]
+            valid = np.ones(labels.shape, dtype=bool)
+            if self.gt.ignore_value is not None:
+                valid = labels != self.gt.ignore_value
+            safe_labels = np.where(valid, labels, 0).astype(np.int64)
+            picked = np.take_along_axis(data, safe_labels[None, :, :], axis=0)[0]
+            out[rows][valid] = -np.log(np.maximum(picked[valid], np.finfo(np.float64).tiny))
+        return out
+
+
+def pixel_cross_entropy(probs: FeatureTensor | FeatureFile, gt: LabelMask) -> np.ndarray:
+    """The whole (H, W) map of `PixelCrossEntropy`."""
+    return PixelCrossEntropy(probs, gt).rows(0, gt.height)
 
 
 @dataclass(frozen=True)
@@ -194,34 +230,57 @@ def _bin_index(scores: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def bin_by_score(
-    score: ScoreMap, value: np.ndarray, mask: BinaryMask, n_bins: int = 20
+    score: ScoreMap,
+    value: np.ndarray | PixelCrossEntropy,
+    mask: BinaryMask | PackedMask,
+    n_bins: int = 20,
 ) -> BinnedCurve:
-    """Mean of `value` per score bin, over pixels where `mask` is set."""
+    """Mean of `value` per score bin, over pixels where `mask` is set and
+    `value` is not NaN.
+
+    The score, value and mask are taken a block of rows at a time.  The
+    counts are integers; the sums go into one accumulator with np.add.at,
+    which adds in pixel order as one np.bincount(weights=...) over the
+    whole grid does, so the means do not depend on the blocks (summing
+    per-block bincounts would round differently).
+    """
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
-    value = np.asarray(value, dtype=np.float64)
-    if score.values.shape != value.shape or score.values.shape != mask.bits.shape:
+    if not isinstance(value, PixelCrossEntropy):
+        value = np.asarray(value, dtype=np.float64)
+    if score.shape != value.shape or score.shape != mask.shape:
         raise ShapeError("score, value, and mask shapes must match")
-    select = mask.bits & ~np.isnan(value)
-    idx = _bin_index(score.values[select], n_bins)
-    vals = value[select]
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=vals, minlength=n_bins)
+    counts = np.zeros(n_bins, dtype=np.intp)
+    sums = np.zeros(n_bins)
+    for rows in row_blocks(score.shape):
+        y0, y1 = rows.start, rows.stop
+        vals = value.rows(y0, y1) if isinstance(value, PixelCrossEntropy) else value[rows]
+        select = mask.rows(y0, y1) & ~np.isnan(vals)
+        idx = _bin_index(score.rows(y0, y1)[select], n_bins)
+        counts += np.bincount(idx, minlength=n_bins)
+        np.add.at(sums, idx, vals[select])
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     return BinnedCurve(edges, counts, means, meta=dict(score.metadata()))
 
 
 def _count_by_bin(
-    scores: np.ndarray, select: np.ndarray, n_bins: int, block: int = 1 << 16
-) -> np.ndarray:
-    """Bin counts of `scores` where `select` is set, taken in blocks of rows
-    of about `block` pixels, so the selected scores and their bin indexes
-    never span the image.  `_bin_index` works element by element, so the
-    counts do not depend on the blocks."""
-    counts = np.zeros(n_bins, dtype=np.intp)
-    for rows in row_blocks(scores.shape, block):
-        counts += np.bincount(_bin_index(scores[rows][select[rows]], n_bins), minlength=n_bins)
+    score: ScoreMap,
+    masks: dict[str, BinaryMask | PackedMask],
+    n_bins: int,
+    block: int = 1 << 16,
+) -> dict[str, np.ndarray]:
+    """Bin counts of the scores under each mask, taken in blocks of rows of
+    about `block` pixels: each block of scores is read once for every
+    mask, and no selected scores or bin indexes span the image.
+    `_bin_index` works element by element, so the counts do not depend on
+    the blocks."""
+    counts = {name: np.zeros(n_bins, dtype=np.intp) for name in masks}
+    for rows in row_blocks(score.shape, block):
+        scores = score.rows(rows.start, rows.stop)
+        for name, mask in masks.items():
+            picked = scores[mask.rows(rows.start, rows.stop)]
+            counts[name] += np.bincount(_bin_index(picked, n_bins), minlength=n_bins)
     return counts
 
 
@@ -239,10 +298,7 @@ def error_type_distribution(
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    type_counts = {
-        name: _count_by_bin(score.values, pixels, n_bins)
-        for name, pixels in error_type_masks(pairs, score.values.shape).items()
-    }
+    type_counts = _count_by_bin(score, error_type_masks(pairs, score.shape), n_bins)
     counts = sum(type_counts.values())
     means = np.full(n_bins, np.nan)
     meta = dict(score.metadata())

@@ -117,11 +117,13 @@ def write_npy(path, arr: np.ndarray) -> None:
 
 
 def row_blocks(shape: tuple[int, ...], block: int = 1 << 16) -> list[slice]:
-    """Slices of consecutive rows of an (H, W) grid, about `block` pixels
-    each and at least one row, so a per-block temporary never spans the
-    grid."""
-    step = max(1, block // max(1, shape[1]))
-    return [slice(y, y + step) for y in range(0, shape[0], step)]
+    """Slices of consecutive rows of an (H, W) grid, or of the H axis of a
+    (C, H, W) tensor, about `block` elements each and at least one row, so
+    a per-block temporary never spans the grid.  The last slice stops at
+    H."""
+    *lead, h, w = shape
+    step = max(1, block // max(1, math.prod(lead) * w))
+    return [slice(y, min(y + step, h)) for y in range(0, h, step)]
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,12 @@ class LabelMask:
             arr = arr.astype(np.int32)
         if any(n <= 0 for n in arr.shape):
             raise ValidationError(f"label mask dims must be positive: {arr.shape}")
-        bad = arr < 0
-        if self.ignore_value is not None:
-            bad &= arr != self.ignore_value
-        if np.any(bad):
-            raise ValidationError("label mask contains negative labels")
+        if arr.dtype.kind == "i":  # |u1 and <u2 labels cannot be negative
+            bad = arr < 0
+            if self.ignore_value is not None:
+                bad &= arr != self.ignore_value
+            if np.any(bad):
+                raise ValidationError("label mask contains negative labels")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -240,6 +243,14 @@ class BinaryMask:
     @property
     def width(self) -> int:
         return self.bits.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.bits.shape
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1, as a view."""
+        return self.bits[y0:y1]
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -301,6 +312,51 @@ class FeatureFile:
                 if fh.readinto(plane) != plane.nbytes:
                     raise FormatError(f"{self.path}: payload shorter than its header")
         return FeatureTensor(band).data  # checks the band is finite, no copy
+
+
+class ScoreFile:
+    """A 2D score map left in its NPY file and read a block of rows at a
+    time as float64, so no copy in the file's dtype is held next to the
+    float64 rows.  Any supported dtype is read; the values must be finite
+    and lie in [0, 1].
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            dtype, shape = _npy_header(fh, path)
+            self._offset = fh.tell()
+        if len(shape) != 2:
+            raise ValidationError(f"{path}: score map must be 2D")
+        if 0 in shape:  # its mean would be NaN
+            raise ValidationError(f"{path}: score map dims must be positive: {shape}")
+        self.path = path
+        self.dtype = dtype
+        self.shape = shape
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1 as one float64 array, read and checked to be
+        finite a block of rows at a time; the range is checked once all of
+        them are read, so NaN/Inf anywhere in them is reported first."""
+        width = self.shape[1]
+        out = np.empty((y1 - y0, width))
+        blocks = row_blocks(out.shape)
+        # a float64 map is read straight into `out`, any other dtype through
+        # one block buffer
+        same = self.dtype == out.dtype
+        raw = None if same or not blocks else np.empty(out[blocks[0]].shape, self.dtype)
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + y0 * width * self.dtype.itemsize)
+            for rows in blocks:
+                block = out[rows] if same else raw[: rows.stop - rows.start]
+                if fh.readinto(block) != block.nbytes:
+                    raise FormatError(f"{self.path}: payload shorter than its header")
+                if not np.all(np.isfinite(block)):
+                    raise ValidationError(f"{self.path}: score map contains NaN/Inf")
+                if not same:
+                    out[rows] = block
+        if out.size and (out.min() < 0.0 or out.max() > 1.0):
+            raise ValidationError(f"{self.path}: score values must lie in [0, 1]")
+        return out
 
 
 def save_array(obj, path) -> None:

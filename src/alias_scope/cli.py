@@ -21,18 +21,18 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    PixelCrossEntropy,
     ScoreMap,
     bin_by_score,
     error_type_distribution,
     patch_aliasing_map,
-    pixel_cross_entropy,
 )
 from .antialias import (
     SCORE_MODES,
@@ -50,6 +50,7 @@ from .arrays import (
     FeatureFile,
     FeatureTensor,
     LabelMask,
+    ScoreFile,
     class_mask,
     load_array,
     read_npy,
@@ -292,15 +293,20 @@ def _load_mask(path, ignore_value) -> LabelMask:
 
 
 def _load_score_map(path) -> ScoreMap:
-    raw = read_npy(path)
-    if raw.ndim != 2:
-        raise InputError(f"{path}: score map must be 2D")
-    if not np.all(np.isfinite(raw)):
-        raise InputError(f"{path}: score map contains NaN/Inf")
-    if raw.size and (raw.min() < 0.0 or raw.max() > 1.0):
-        raise InputError(f"{path}: score values must lie in [0, 1]")
-    values = raw.astype(np.float64, copy=False)  # an <f8 map is not copied
+    """The external score map, whole: read and checked a block of rows at
+    a time into one float64 array, with no copy in the file's dtype."""
+    scores = ScoreFile(path)
+    values = scores.rows(0, scores.shape[0])
     return ScoreMap(values, window=0, stride=0, cutoff=0.0, mode="external")
+
+
+def _external_score_map(path) -> tuple[float, ScoreMap]:
+    """The mean of the external score map, taken from the whole map as
+    `_load_score_map` reads it, and the map left in its file, which binning
+    reads again a block of rows at a time: the whole map is held only while
+    its mean is taken."""
+    whole = _load_score_map(path)
+    return float(whole.values.mean()), replace(whole, values=ScoreFile(path))
 
 
 def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
@@ -445,26 +451,28 @@ def cmd_analyze(args) -> None:
     config = _run_config(args, source, cutoff)
     if config.bins < 2:
         raise InputError(f"bins must be >= 2, got {config.bins}")
-    # the features are read a band of rows at a time, and the raw score
-    # array does not outlive the map
+    # every per-pixel input is read a block of rows at a time: the
+    # features a band of window rows, an external score map once whole for
+    # its mean and again in blocks to bin, and the probabilities as the
+    # cross-entropy of each block is binned
     if args.features is not None:
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
             FeatureFile(args.features), config.window, config.stride, CutoffSpec(cutoff)
         )
+        mean = float(score_map.values.mean())
     else:
         inputs["score"] = args.score
-        score_map = _load_score_map(args.score)
-    result["score_map"] = score_map.metadata()
-    result["score_map"]["mean"] = float(score_map.values.mean())
+        mean, score_map = _external_score_map(args.score)
+    result["score_map"] = {**score_map.metadata(), "mean": mean}
 
     gt = None
     if args.gt is not None:
         gt = _load_mask(args.gt, args.ignore_value)
         inputs["gt"] = args.gt
-        if gt.data.shape != score_map.values.shape:
+        if gt.data.shape != score_map.shape:
             raise InputError("gt shape does not match the score map")
-    d = _band_width_for(config, score_map.values.shape)
+    d = _band_width_for(config, score_map.shape)
     result["band_width"] = d
 
     gt_bands = None
@@ -472,7 +480,7 @@ def cmd_analyze(args) -> None:
         if gt is None:
             raise InputError("--probs needs --gt")
         inputs["probs"] = args.probs
-        ce = pixel_cross_entropy(_load_feature(args.probs), gt)
+        ce = PixelCrossEntropy(FeatureFile(args.probs), gt)
         gt_bands = BandUnion(gt.data.shape)
 
     # one pass over the classes, one class's bands at a time: each gt band

@@ -21,7 +21,8 @@ A band is the contour dilated by the radius-d disk of integer offsets,
 built from shifted ORs on bit-packed rows (`boundary_band`); no distance
 transform is computed.  `pack_rows` fixes the one packed layout, 64
 pixels per little-endian uint64 word; bands stay in it up to the counts,
-and no other module reads or writes it (`BandUnion`, `error_type_masks`).
+and no other module reads or writes it: `BandUnion` and `error_type_masks`
+hand out a `PackedMask`, which unpacks a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -266,6 +267,23 @@ def class_band_pairs(
         yield c, band_pair(class_mask(pred, c), class_mask(gt, c), d)
 
 
+@dataclass(frozen=True)
+class PackedMask:
+    """An (H, W) boolean grid kept as `pack_rows` words and unpacked a block
+    of rows at a time, so it is never whole as one bool per pixel."""
+
+    words: np.ndarray
+    width: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.words.shape[0], self.width
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1 as (y1 - y0, W) bool."""
+        return unpack_rows(self.words[y0:y1], self.width)
+
+
 class BandUnion:
     """Pixels in any of the packed bands of an (H, W) image, ORed in one
     band at a time."""
@@ -286,26 +304,28 @@ class BandUnion:
             yield c, pair
 
     @property
-    def mask(self) -> BinaryMask:
-        return BinaryMask(unpack_rows(self._words, self._width))
+    def mask(self) -> PackedMask:
+        return PackedMask(self._words, self._width)
 
 
 def error_type_masks(
     pairs: Iterable[tuple[int, BandPair]], shape: tuple[int, int]
-) -> dict[str, np.ndarray]:
+) -> dict[str, PackedMask]:
     """Each error type's (H, W) pixels over all classes, by `TAG_NAMES` value.
     A pixel keeps the type of the first class in `pairs` that claims it,
-    the lowest class id for `class_band_pairs`; the pixels claimed so far
-    are the union of the merged types."""
-    empty = pack_rows(np.zeros(shape, dtype=bool))
-    merged = [empty.copy() for _ in TAG_NAMES]
+    the lowest class id for `class_band_pairs`; `claimed` is the running
+    union of the merged types.  A class's error sets are disjoint, so
+    claiming its pixels type by type claims what the class claims."""
+    claimed = pack_rows(np.zeros(shape, dtype=bool))
+    merged = [np.zeros_like(claimed) for _ in TAG_NAMES]
     for _, pair in pairs:
         if pair.shape != shape:
             raise ShapeError(f"band pair shape {pair.shape} does not match {shape}")
-        claimed = np.bitwise_or.reduce(merged)
         for tagged, pixels in zip(merged, pair.error_sets()):
-            tagged |= pixels & ~claimed
-    return dict(zip(TAG_NAMES.values(), (unpack_rows(t, shape[1]) for t in merged)))
+            pixels &= ~claimed
+            tagged |= pixels
+            claimed |= pixels
+    return {name: PackedMask(t, shape[1]) for name, t in zip(TAG_NAMES.values(), merged)}
 
 
 def error_metrics(pred: BinaryMask, gt: BinaryMask, d: int) -> BoundaryErrorRates:

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alias_scope import analysis
+from alias_scope import analysis, arrays
 from alias_scope.analysis import (
     ScoreMap,
     bin_by_score,
@@ -18,6 +21,7 @@ from alias_scope.analysis import (
 )
 from alias_scope.antialias import CutoffSpec, aliasing_score
 from alias_scope.arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, write_npy
+from alias_scope.cli import main
 from alias_scope.errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
 from alias_scope.segmetrics import boundary_band, class_band_pairs
 from alias_scope.synth import tone
@@ -443,8 +447,86 @@ def test_binning_in_row_blocks_counts_the_same(block):
     scores = rng.uniform(0.0, 1.0, (9, 21))
     scores[0, :3] = [0.0, 0.4, 1.0]  # bin edges
     select = rng.random((9, 21)) < 0.5
-    want = np.bincount(analysis._bin_index(scores[select], 5), minlength=5)
-    assert np.array_equal(analysis._count_by_bin(scores, select, 5, block), want)
+    masks = {"select": BinaryMask(select), "rest": BinaryMask(~select)}
+    got = analysis._count_by_bin(uniform_score_map(scores), masks, 5, block)
+    for name, mask in masks.items():
+        want = np.bincount(analysis._bin_index(scores[mask.bits], 5), minlength=5)
+        assert np.array_equal(got[name], want)
+
+
+def _blocks_of(k):
+    """`row_blocks` cut into blocks of k rows (all rows for k = None)."""
+    def blocks(shape, block=0):
+        h = shape[-2]
+        step = k or max(h, 1)
+        return [slice(y, min(y + step, h)) for y in range(0, h, step)]
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 21),
+    st.integers(2, 4),
+    st.integers(1, 2),
+    st.integers(2, 8),
+    st.sampled_from([1, 2, None]),
+    st.sampled_from(["<f4", "<f8"]),
+    st.sampled_from(["<f4", "<f8"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_block_analyze_matches_whole_array_formulas(
+    h, w, n_classes, d, n_bins, rows, score_dtype, probs_dtype, seed
+):
+    # `analyze --score --probs --pred --gt` reads the map, the probabilities
+    # and the masks in blocks of 1 row, 2 rows or all rows; its report must
+    # give the counts, means and map mean of the whole-array formulas bit
+    # for bit.  Class n_classes - 1 is present only in pred, 255 pixels
+    # are ignored (NaN cross-entropy), and scores drawn from a short range
+    # leave bins empty.
+    rng = np.random.default_rng(seed)
+    gt = rng.choice([*range(n_classes - 1), 255], (h, w)).astype(np.uint8)
+    pred = rng.choice([*range(n_classes), 255], (h, w)).astype(np.uint8)
+    pred[0, 0] = n_classes - 1
+    lo = rng.uniform(0.0, 1.0)
+    scores = rng.uniform(lo, min(1.0, lo + rng.choice([0.1, 1.0])), (h, w)).astype(score_dtype)
+    probs = rng.dirichlet(np.ones(n_classes), (h, w)).transpose(2, 0, 1).astype(probs_dtype)
+    probs[:, rng.random((h, w)) < 0.2] = 0.0  # p(true class) = 0 on ignored and scored pixels
+    probs[0][probs.sum(axis=0) == 0] = 1.0
+
+    # the whole-array formulas, on arrays in memory
+    values = scores.astype(np.float64)
+    score_map = uniform_score_map(values)
+    gt_mask, pred_mask = LabelMask(gt), LabelMask(pred)
+    ce = pixel_cross_entropy(FeatureTensor(probs), gt_mask)
+    union = np.zeros((h, w), dtype=bool)
+    for c in gt_mask.present_classes():
+        union |= oracles.band_pixels(gt == c, d)
+    curve = bin_by_score(score_map, ce, BinaryMask(union), n_bins)
+    select = union & ~np.isnan(ce)
+    idx = analysis._bin_index(values[select], n_bins)
+    sums = np.bincount(idx, weights=ce[select], minlength=n_bins)
+    means = np.where(curve.counts > 0, sums / np.maximum(curve.counts, 1), np.nan)
+    assert np.array_equal(curve.means, means, equal_nan=True)
+    dist = error_type_distribution(class_band_pairs(pred_mask, gt_mask, d), score_map, d, n_bins)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, arr in (("score", scores), ("probs", probs), ("pred", pred), ("gt", gt)):
+            paths[name] = Path(tmp, f"{name}.npy")
+            write_npy(paths[name], arr)
+        argv = ["analyze", *(a for name in paths for a in (f"--{name}", str(paths[name]))),
+                "--bins", str(n_bins), "--band-width", str(d)]
+        out = io.StringIO()
+        with contextlib.ExitStack() as stack:
+            for module in (analysis, arrays):
+                stack.enter_context(mock.patch.object(module, "row_blocks", _blocks_of(rows)))
+            stack.enter_context(contextlib.redirect_stdout(out))
+            assert main(argv) == 0
+    result = json.loads(out.getvalue())["result"]
+    assert result["score_map"]["mean"] == float(values.mean())
+    assert result["curves"]["boundary_cross_entropy"] == curve.rows()
+    assert result["curves"]["error_type_distribution"] == dist.rows()
 
 
 def test_distribution_conservation():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from alias_scope.arrays import (
     BinaryMask,
     FeatureTensor,
     LabelMask,
+    ScoreFile,
     class_mask,
     load_array,
     read_npy,
@@ -219,6 +221,54 @@ def label_grids(draw):
 def test_present_classes_matches_unique(data, ignore):
     expected = [int(v) for v in np.unique(data) if v != ignore]
     assert LabelMask(data, ignore).present_classes() == expected
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8", "|u1", "<i4", "<u2"])
+def test_score_file_rows_are_the_float64_map(tmp_path, dtype):
+    # 700 rows of 300 pixels: row blocks of 218 rows, the last one short
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 1.0, (700, 300))
+    if dtype[1] != "f":
+        values = values > 0.5
+    path = tmp_path / "score.npy"
+    write_npy(path, values.astype(dtype))
+    scores = ScoreFile(path)
+    want = read_npy(path).astype(np.float64)
+    assert scores.shape == (700, 300)
+    for y0, y1 in [(0, 700), (0, 1), (3, 7), (217, 437), (699, 700)]:
+        rows = scores.rows(y0, y1)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, want[y0:y1])
+
+
+def test_score_file_checks(tmp_path):
+    path = tmp_path / "score.npy"
+    values = np.full((700, 300), 0.5)
+    values[0, 0] = 2.0  # out of range in the first block
+    values[-1, -1] = np.nan  # NaN in the last block
+    write_npy(path, values)
+    with pytest.raises(ValidationError, match="NaN/Inf"):
+        ScoreFile(path).rows(0, 700)
+    with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+        ScoreFile(path).rows(0, 699)
+    for shape, message in [((2, 3, 4), "must be 2D"), ((0, 4), "must be positive")]:
+        write_npy(path, np.zeros(shape))
+        with pytest.raises(ValidationError, match=message):
+            ScoreFile(path)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_unsigned_labels_build_no_sign_mask(dtype):
+    # |u1 and <u2 labels cannot be negative, so no full-size `arr < 0` or
+    # `arr != ignore` mask (1 MiB each here) is built
+    labels = np.zeros((1024, 1024), dtype=dtype)
+    tracemalloc.start()
+    try:
+        LabelMask(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_binary_mask_round_trip(tmp_path):

@@ -673,6 +673,17 @@ def test_analyze_non_finite_score_map_rejected(capsys, tmp_path, bad):
     assert "NaN/Inf" in err
 
 
+@pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
+def test_analyze_empty_score_map_exit_2(capsys, tmp_path, shape):
+    # an empty map has no mean: one error line, not a NaN report
+    score = tmp_path / "score.npy"
+    write_npy(score, np.zeros(shape))
+    code, out, err = run(capsys, "analyze", "--score", score)
+    assert code == 2
+    assert out == ""
+    assert err == f"alias-scope: error: {score}: score map dims must be positive: {shape}\n"
+
+
 def test_analyze_zero_true_class_probability_is_strict_json(capsys, tmp_path):
     h, w = 8, 8
     gt = np.zeros((h, w), dtype=np.uint8)

@@ -32,11 +32,18 @@ BANK = (16, 16, 32, 32)  # 16 filters of 16384 taps, 2 MiB of float64
 MASK = (256, 512)
 
 
-def labels(n_classes: int) -> np.ndarray:
-    """32-pixel squares, 8 x 16 of them, with classes dealt round-robin."""
-    h, w = MASK
+def labels(n_classes: int, shape=MASK) -> np.ndarray:
+    """32-pixel squares, 8 x 16 of them on MASK, with classes dealt
+    round-robin."""
+    h, w = shape
     rows, cols = np.arange(h)[:, None] // 32, np.arange(w)[None, :] // 32
     return ((rows * (w // 32) + cols) % n_classes).astype(np.uint8)
+
+
+def probabilities(n_classes: int, shape=MASK, seed=0) -> np.ndarray:
+    """A (C, H, W) `<f4` simplex from integer counts."""
+    counts = np.random.default_rng(seed).integers(1, 9, (n_classes, *shape))
+    return (counts / counts.sum(axis=0)).astype("<f4")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,7 @@ def files(tmp_path_factory):
         shape = (c,) if name.endswith("channel") else (h, w)
         write_npy(tmp / "weights" / f"{name}.npy", rng.standard_normal(shape))
     put("score", rng.uniform(0.0, 1.0, MASK).astype("<f4"))
+    put("probs4", probabilities(4))
     for n in (4, 64):
         gt = labels(n)
         gt[-16:] = 255  # an ignore strip
@@ -101,13 +109,15 @@ def cases(p):
                       "--map-out", out / "map.npy"], 1.65 * GRID**2 * 8),
         "orth": (["orth", p["bank"]], 3.3 * np.prod(BANK) * 8),
         "metrics": (["metrics", p["pred4"], p["gt4"]], 1.05 * MIB),
-        "analyze --score": (["analyze", *mask], 2.15 * MIB),
+        "analyze --score": (["analyze", *mask], 1.85 * MIB),
+        "analyze --score --probs": (["analyze", *mask, "--probs", p["probs4"]], 2.5 * MIB),
     }
 
 
 COMMANDS = [
     "esr", "fold", "score", "daf", "split", "blur", "noise", "freqmix",
     "analyze --features", "response", "orth", "metrics", "analyze --score",
+    "analyze --score --probs",
 ]
 
 
@@ -145,3 +155,20 @@ def test_features_peak_independent_of_height(tmp_path):
         write_npy(path, np.random.default_rng(h).standard_normal((8, h, 256)).astype("<f4"))
         peaks[h] = traced_peak(["analyze", "--features", path, "--cutoff", 0.25]) - h * 256 * 8
     assert peaks[1024] <= 1.25 * peaks[128], f"{peaks[128] / MIB:.2f} MiB at H=128, {peaks[1024] / MIB:.2f} at 1024"
+
+
+def test_probs_peak_independent_of_channel_count(tmp_path):
+    # the probabilities are read about 65536 at a time, so beyond the
+    # (H, W) float64 score map held while its mean is taken, the peak with
+    # 64 channels is that with 4
+    shape = (128, 256)
+    score, gt = tmp_path / "score.npy", tmp_path / "gt.npy"
+    write_npy(score, np.random.default_rng(1).uniform(0.0, 1.0, shape))
+    write_npy(gt, labels(4, shape))
+    peaks = {}
+    for c in (4, 64):
+        probs = tmp_path / f"probs{c}.npy"
+        write_npy(probs, probabilities(c, shape, seed=c))
+        argv = ["analyze", "--score", score, "--probs", probs, "--pred", gt, "--gt", gt]
+        peaks[c] = traced_peak(argv) - np.prod(shape) * 8
+    assert peaks[64] <= 1.25 * peaks[4], f"{peaks[4] / MIB:.2f} MiB at C=4, {peaks[64] / MIB:.2f} at 64"
