@@ -225,8 +225,9 @@ class BinnedCurve:
 
 
 def _bin_index(scores: np.ndarray, n_bins: int) -> np.ndarray:
-    idx = np.floor(scores * n_bins).astype(np.int64)
-    return np.clip(idx, 0, n_bins - 1)
+    x = scores * n_bins  # floored, and its indexes clipped, in place
+    idx = np.floor(x, out=x).astype(np.int64)
+    return np.clip(idx, 0, n_bins - 1, out=idx)
 
 
 def bin_by_score(
@@ -281,6 +282,7 @@ def _count_by_bin(
         for name, mask in masks.items():
             picked = scores[mask.rows(rows.start, rows.stop)]
             counts[name] += np.bincount(_bin_index(picked, n_bins), minlength=n_bins)
+        del scores  # not held while the next block is read
     return counts
 
 

@@ -179,11 +179,12 @@ class LabelMask:
         if any(n <= 0 for n in arr.shape):
             raise ValidationError(f"label mask dims must be positive: {arr.shape}")
         if arr.dtype.kind == "i":  # |u1 and <u2 labels cannot be negative
-            bad = arr < 0
-            if self.ignore_value is not None:
-                bad &= arr != self.ignore_value
-            if np.any(bad):
-                raise ValidationError("label mask contains negative labels")
+            for rows in row_blocks(arr.shape):
+                bad = arr[rows] < 0
+                if self.ignore_value is not None:
+                    bad &= arr[rows] != self.ignore_value
+                if np.any(bad):
+                    raise ValidationError("label mask contains negative labels")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -213,12 +214,13 @@ class LabelMask:
         if self.data.dtype.itemsize <= 2:
             # |u1 and <u2 labels index a table of at most 65536 flags, with
             # no intp copy of the mask; an <i4 label can be up to
-            # 2**31 - 1, so it stays with np.unique
+            # 2**31 - 1, so it takes the union of each block's np.unique
             seen = np.zeros(1 << (8 * self.data.dtype.itemsize), dtype=bool)
             seen[self.data] = True
             labels = np.flatnonzero(seen)
         else:
-            labels = np.unique(self.data)
+            blocks = row_blocks(self.data.shape)
+            labels = np.unique(np.concatenate([np.unique(self.data[r]) for r in blocks]))
         if self.ignore_value is not None:
             labels = labels[labels != self.ignore_value]
         return [int(v) for v in labels]
@@ -314,11 +316,14 @@ class FeatureFile:
         return FeatureTensor(band).data  # checks the band is finite, no copy
 
 
+PAIRWISE_LEAF = 1 << 16  # values per read of `ScoreFile.mean`, at least 128
+
+
 class ScoreFile:
-    """A 2D score map left in its NPY file and read a block of rows at a
-    time as float64, so no copy in the file's dtype is held next to the
-    float64 rows.  Any supported dtype is read; the values must be finite
-    and lie in [0, 1].
+    """A 2D score map left in its NPY file and read as float64 a block of
+    rows, or for its mean a leaf of values, at a time, so it is never
+    whole.  Any supported dtype is read; the values must be finite and lie
+    in [0, 1].
     """
 
     def __init__(self, path):
@@ -339,24 +344,51 @@ class ScoreFile:
         them are read, so NaN/Inf anywhere in them is reported first."""
         width = self.shape[1]
         out = np.empty((y1 - y0, width))
-        blocks = row_blocks(out.shape)
-        # a float64 map is read straight into `out`, any other dtype through
-        # one block buffer
-        same = self.dtype == out.dtype
-        raw = None if same or not blocks else np.empty(out[blocks[0]].shape, self.dtype)
         with open(self.path, "rb") as fh:
             fh.seek(self._offset + y0 * width * self.dtype.itemsize)
-            for rows in blocks:
-                block = out[rows] if same else raw[: rows.stop - rows.start]
-                if fh.readinto(block) != block.nbytes:
-                    raise FormatError(f"{self.path}: payload shorter than its header")
-                if not np.all(np.isfinite(block)):
-                    raise ValidationError(f"{self.path}: score map contains NaN/Inf")
-                if not same:
-                    out[rows] = block
-        if out.size and (out.min() < 0.0 or out.max() > 1.0):
+            in_range = [self._read_into(fh, out[rows]) for rows in row_blocks(out.shape)]
+        if not all(in_range):
             raise ValidationError(f"{self.path}: score values must lie in [0, 1]")
         return out
+
+    def mean(self) -> float:
+        """`np.mean` of the whole float64 map, bit for bit, from leaves of
+        `PAIRWISE_LEAF` values summed by `_pairwise_sum`; each leaf is
+        checked to be finite as it is read, and the range after the pass."""
+        count = math.prod(self.shape)
+        leaf, in_range = np.empty(min(count, PAIRWISE_LEAF)), []
+
+        def leaf_sum(n: int) -> float:
+            in_range.append(self._read_into(fh, leaf[:n]))
+            return np.add.reduce(leaf[:n])
+
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            total = _pairwise_sum(count, leaf_sum)
+        if not all(in_range):
+            raise ValidationError(f"{self.path}: score values must lie in [0, 1]")
+        return float(total / count)
+
+    def _read_into(self, fh, out: np.ndarray) -> bool:
+        """Fill float64 `out` from `fh`, through a buffer in the map's dtype
+        if it differs, checked to be finite; True if they lie in [0, 1]."""
+        raw = out if self.dtype == out.dtype else np.empty(out.shape, self.dtype)
+        if fh.readinto(raw) != raw.nbytes:
+            raise FormatError(f"{self.path}: payload shorter than its header")
+        if not np.all(np.isfinite(raw)):
+            raise ValidationError(f"{self.path}: score map contains NaN/Inf")
+        out[...] = raw  # no copy when `raw` is `out`
+        return 0.0 <= out.min() and out.max() <= 1.0
+
+
+def _pairwise_sum(n: int, leaf_sum) -> float:
+    """The next n values split as numpy's pairwise sum splits a float64
+    reduction until they fit a leaf, whose sum `leaf_sum(k)` takes; numpy
+    stops splitting at 128 values, so any leaf of 128 or more keeps its bits."""
+    if n <= PAIRWISE_LEAF:
+        return leaf_sum(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(n - half, leaf_sum)
 
 
 def save_array(obj, path) -> None:

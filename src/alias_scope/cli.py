@@ -21,7 +21,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ from .arrays import (
     FeatureTensor,
     LabelMask,
     ScoreFile,
-    class_mask,
     load_array,
     read_npy,
     save_array,
@@ -82,6 +81,7 @@ from .segmetrics import (
     default_band_width,
     miou,
     multiclass_errors,
+    pack_class,
     relevant_classes,
 )
 
@@ -292,21 +292,12 @@ def _load_mask(path, ignore_value) -> LabelMask:
     return obj
 
 
-def _load_score_map(path) -> ScoreMap:
-    """The external score map, whole: read and checked a block of rows at
-    a time into one float64 array, with no copy in the file's dtype."""
-    scores = ScoreFile(path)
-    values = scores.rows(0, scores.shape[0])
-    return ScoreMap(values, window=0, stride=0, cutoff=0.0, mode="external")
-
-
 def _external_score_map(path) -> tuple[float, ScoreMap]:
-    """The mean of the external score map, taken from the whole map as
-    `_load_score_map` reads it, and the map left in its file, which binning
-    reads again a block of rows at a time: the whole map is held only while
-    its mean is taken."""
-    whole = _load_score_map(path)
-    return float(whole.values.mean()), replace(whole, values=ScoreFile(path))
+    """The mean of the external score map, `np.mean`'s bits read a leaf at
+    a time, and the map left in its file, which binning reads again a block
+    of rows at a time: the map is never whole."""
+    scores = ScoreFile(path)
+    return scores.mean(), ScoreMap(scores, window=0, stride=0, cutoff=0.0, mode="external")
 
 
 def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
@@ -452,9 +443,9 @@ def cmd_analyze(args) -> None:
     if config.bins < 2:
         raise InputError(f"bins must be >= 2, got {config.bins}")
     # every per-pixel input is read a block of rows at a time: the
-    # features a band of window rows, an external score map once whole for
-    # its mean and again in blocks to bin, and the probabilities as the
-    # cross-entropy of each block is binned
+    # features a band of window rows, an external score map a leaf of
+    # values at a time for its mean and again in blocks to bin, and the
+    # probabilities as the cross-entropy of each block is binned
     if args.features is not None:
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
@@ -500,7 +491,7 @@ def cmd_analyze(args) -> None:
         dist = error_type_distribution(pairs, score_map, d, config.bins)
     elif gt_bands is not None:
         for c in gt.present_classes():
-            gt_bands.add(boundary_band(class_mask(gt, c), d).words)
+            gt_bands.add(boundary_band(pack_class(gt, c), d).words)
 
     if gt_bands is not None:
         curve = bin_by_score(score_map, ce, gt_bands.mask, config.bins)

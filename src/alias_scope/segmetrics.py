@@ -16,7 +16,7 @@ masks), so reports pair it with derr at P = G, 1 - |G_d & G| / |G_d|.
 Bands are built once per class, by `band_pair`; the rates, error tags,
 BIoU, BAcc and baseline are all methods of the `BandPair` it returns.
 `class_band_pairs` builds the pairs one class at a time as they are asked
-for, so a command over many classes holds one class's pair, not all.
+for, from labels packed by `pack_class`, so a command holds one pair.
 A band is the contour dilated by the radius-d disk of integer offsets,
 built from shifted ORs on bit-packed rows (`boundary_band`); no distance
 transform is computed.  `pack_rows` fixes the one packed layout, 64
@@ -33,7 +33,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arrays import BinaryMask, LabelMask, class_mask, row_blocks
+from .arrays import BinaryMask, LabelMask, row_blocks
 from .errors import ShapeError
 
 DEFAULT_BAND_WIDTH = 15
@@ -56,6 +56,10 @@ def default_band_width(height: int, width: int) -> int:
     return max(1, round(DEFAULT_BAND_WIDTH * min(height, width) / REFERENCE_SCALE))
 
 
+def _zero_words(shape: tuple[int, int]) -> np.ndarray:
+    return np.zeros((shape[0], -(-shape[1] // 64)), dtype="<u8")
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """(H, W) bool as (H, ceil(W / 64)) little-endian uint64 words: column
     x is bit x % 64 of word x // 64, and row padding bits are 0."""
@@ -63,6 +67,17 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     words = np.zeros((h, -(-w // 64) * 8), dtype=np.uint8)
     words[:, : -(-w // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return words.view("<u8")
+
+
+def pack_class(mask: LabelMask, class_id: int) -> PackedMask:
+    """`pack_rows(class_mask(mask, class_id).bits)`, packed one block of
+    rows of labels at a time, so no (H, W) bool mask is made."""
+    words = _zero_words(mask.data.shape)
+    if class_id != mask.ignore_value:
+        out = words.view(np.uint8)[:, : -(-mask.width // 8)]
+        for rows in row_blocks(mask.data.shape, 1 << 18):
+            out[rows] = np.packbits(mask.data[rows] == class_id, axis=-1, bitorder="little")
+    return PackedMask(words, mask.width)
 
 
 def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
@@ -131,7 +146,7 @@ class BoundaryBand:
         return BinaryMask(unpack_rows(self.words, self.width))
 
 
-def boundary_band(mask: BinaryMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand:
+def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand:
     """Union of the contour shifted by every integer offset (dy, dx) with
     dy^2 + dx^2 <= d^2, which is the set of pixels within Euclidean
     distance d of a contour pixel.
@@ -148,12 +163,12 @@ def boundary_band(mask: BinaryMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand
     stop at the image extent.  Everything runs on `pack_rows` words, 64
     pixels per uint64, and the band stays packed: about 2*min(d, H-1)
     row-slice ORs plus three word ops per distinct half-width,
-    O(d*H*W/64) word operations.
+    O(d*H*W/64) word operations.  A `PackedMask` is used as it is.
     """
     if d < 1:
         raise ShapeError(f"band width must be >= 1, got {d}")
-    h, w = mask.bits.shape
-    packed = pack_rows(mask.bits)
+    h, w = mask.shape
+    packed = mask.words if isinstance(mask, PackedMask) else pack_rows(mask.bits)
     right = _contour_words(packed)
     if not right.any():
         return BoundaryBand(packed, np.zeros_like(packed), w)
@@ -244,9 +259,9 @@ class BandPair:
         return _count(self.g_d & ~(self.p ^ self.g)) / n if n else None
 
 
-def band_pair(pred: BinaryMask, gt: BinaryMask, d: int) -> BandPair:
-    if pred.bits.shape != gt.bits.shape:
-        raise ShapeError(f"mask shapes differ: {pred.bits.shape} vs {gt.bits.shape}")
+def band_pair(pred: BinaryMask | PackedMask, gt: BinaryMask | PackedMask, d: int) -> BandPair:
+    if pred.shape != gt.shape:
+        raise ShapeError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
     p, g = boundary_band(pred, d), boundary_band(gt, d)
     return BandPair(p.mask_words, g.mask_words, p.words, g.words, p.width)
 
@@ -264,7 +279,7 @@ def class_band_pairs(
     if classes is None:
         classes = relevant_classes(pred, gt)
     for c in classes:
-        yield c, band_pair(class_mask(pred, c), class_mask(gt, c), d)
+        yield c, band_pair(pack_class(pred, c), pack_class(gt, c), d)
 
 
 @dataclass(frozen=True)
@@ -289,7 +304,7 @@ class BandUnion:
     band at a time."""
 
     def __init__(self, shape: tuple[int, int]):
-        self._words = pack_rows(np.zeros(shape, dtype=bool))
+        self._words = _zero_words(shape)
         self._width = shape[1]
 
     def add(self, band: np.ndarray) -> None:
@@ -316,7 +331,7 @@ def error_type_masks(
     the lowest class id for `class_band_pairs`; `claimed` is the running
     union of the merged types.  A class's error sets are disjoint, so
     claiming its pixels type by type claims what the class claims."""
-    claimed = pack_rows(np.zeros(shape, dtype=bool))
+    claimed = _zero_words(shape)
     merged = [np.zeros_like(claimed) for _ in TAG_NAMES]
     for _, pair in pairs:
         if pair.shape != shape:

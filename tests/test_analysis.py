@@ -454,6 +454,19 @@ def test_binning_in_row_blocks_counts_the_same(block):
         assert np.array_equal(got[name], want)
 
 
+@pytest.mark.parametrize("n_bins", [2, 5, 20])
+def test_bin_index_in_place_is_the_out_of_place_index(n_bins):
+    # the product is floored and the indexes clipped in place: the same
+    # indexes as the expression with a copy per step, and the scores unchanged
+    scores = np.random.default_rng(n_bins).uniform(0.0, 1.0, 1000)
+    scores[:6] = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0), 1 / n_bins, 5e-324]
+    kept = scores.copy()
+    want = np.clip(np.floor(scores * n_bins).astype(np.int64), 0, n_bins - 1)
+    got = analysis._bin_index(scores, n_bins)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(scores, kept)
+
+
 def _blocks_of(k):
     """`row_blocks` cut into blocks of k rows (all rows for k = None)."""
     def blocks(shape, block=0):

@@ -3,12 +3,14 @@ import io
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alias_scope import arrays
 from alias_scope.arrays import (
     BinaryMask,
     FeatureTensor,
@@ -255,6 +257,89 @@ def test_score_file_checks(tmp_path):
         write_npy(path, np.zeros(shape))
         with pytest.raises(ValidationError, match=message):
             ScoreFile(path)
+
+
+SCORE_DTYPES = ["<f4", "<f8", "|u1", "<i4", "<u2"]
+# numpy stops splitting at 128 values, so every leaf of at least 128 splits
+# where numpy does; sizes around leaves and numpy's 8-value unroll, and primes
+MEAN_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1021, 1023, 1024,
+              1025, 4093, 4095, 4097, 65535, 65537, 131071, 131073]
+
+
+@st.composite
+def score_maps(draw):
+    dtype = draw(st.sampled_from(SCORE_DTYPES))
+    n = draw(st.one_of(st.sampled_from(MEAN_SIZES), st.integers(1, 20000)))
+    h = draw(st.sampled_from([d for d in (1, 2, 3, 7) if n % d == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype[1] == "f":
+        # magnitudes 1e-17 .. 1, mixed within the map, so the order of the
+        # additions shows in the last bits
+        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-17, 1, n)
+    else:
+        values = rng.integers(0, 2, n)
+    return values.astype(dtype).reshape(h, n // h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_maps(), st.sampled_from([128, 136, 1000, 4096, 1 << 16]))
+@example(np.full((1, 1), 0.3), 128)
+@example(np.linspace(0.0, 1.0, 131073).reshape(1, -1), 128)
+def test_score_file_mean_is_numpy_mean_bit_for_bit(values, leaf):
+    # the leaves are summed as numpy's pairwise sum splits the whole map,
+    # so the mean keeps every bit of np.mean over the float64 map
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "score.npy"
+        write_npy(path, values)
+        want = float(read_npy(path).astype(np.float64).mean())
+        with mock.patch.object(arrays, "PAIRWISE_LEAF", leaf):
+            got = ScoreFile(path).mean()
+    assert got.hex() == want.hex()
+
+
+def test_score_file_mean_checks(tmp_path, monkeypatch):
+    # several leaves: NaN/Inf in the last one still wins over a value out
+    # of range in the first, because the range is checked after the pass
+    monkeypatch.setattr(arrays, "PAIRWISE_LEAF", 128)
+    path = tmp_path / "score.npy"
+    values = np.full((40, 30), 0.5)
+    values[0, 0] = 2.0
+    values[-1, -1] = np.nan
+    write_npy(path, values)
+    with pytest.raises(ValidationError, match="score map contains NaN/Inf"):
+        ScoreFile(path).mean()
+    values[-1, -1] = 0.5
+    write_npy(path, values)
+    with pytest.raises(ValidationError, match=r"score values must lie in \[0, 1\]"):
+        ScoreFile(path).mean()
+    # a payload cut short after the header was checked
+    values[0, 0] = 0.5
+    write_npy(path, values)
+    scores = ScoreFile(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FormatError, match="payload shorter than its header"):
+        scores.mean()
+
+
+def test_signed_labels_scan_in_row_blocks():
+    # the negative-label scan and present_classes take <i4 labels a block of
+    # rows at a time: no 1 MiB `arr < 0` or `arr != ignore` mask and no
+    # 4 MiB sorted copy of the labels
+    labels = np.zeros((1024, 1024), dtype="<i4")
+    labels[::7, ::5] = 2**30
+    labels[-1, -1] = 255
+    tracemalloc.start()
+    try:
+        classes = LabelMask(labels).present_classes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes == [0, 2**30]
+    assert peak < 2**20
+    labels[-1, -1] = -1  # in the last block of rows
+    with pytest.raises(ValidationError, match="negative labels"):
+        LabelMask(labels)
+    assert LabelMask(labels, ignore_value=-1).present_classes() == [0, 2**30]
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])

@@ -684,6 +684,25 @@ def test_analyze_empty_score_map_exit_2(capsys, tmp_path, shape):
     assert err == f"alias-scope: error: {score}: score map dims must be positive: {shape}\n"
 
 
+@pytest.mark.parametrize("fault", ["range-then-nan", "truncated"])
+def test_analyze_score_map_errors_are_one_line(capsys, tmp_path, fault):
+    # a 300 x 300 map spans two leaves of its mean: NaN in the last value
+    # is reported over a value out of range in row 0, as a whole-map read did
+    score = tmp_path / "score.npy"
+    values = np.full((300, 300), 0.5)
+    values[0, 0] = 2.0
+    values[-1, -1] = np.nan
+    write_npy(score, values)
+    line = f"{score}: score map contains NaN/Inf"
+    if fault == "truncated":
+        score.write_bytes(score.read_bytes()[:-8])
+        line = f"{score}: payload is {values.nbytes - 8} bytes, expected {values.nbytes}"
+    code, out, err = run(capsys, "analyze", "--score", score)
+    assert code == 2
+    assert out == ""
+    assert err == f"alias-scope: error: {line}\n"
+
+
 def test_analyze_zero_true_class_probability_is_strict_json(capsys, tmp_path):
     h, w = 8, 8
     gt = np.zeros((h, w), dtype=np.uint8)
@@ -763,13 +782,14 @@ def test_metrics_validates_labels_before_any_band(
 
 def test_metrics_builds_two_bands_per_class(capsys, monkeypatch, three_class_pair):
     calls = _count_band_calls(monkeypatch)
-    packs = _count_calls(monkeypatch, segmetrics, "pack_rows")
+    packs = _count_calls(monkeypatch, segmetrics, "pack_class")
     unpacks = _count_calls(monkeypatch, segmetrics, "unpack_rows")
     pred, gt = three_class_pair
     report = run_json(capsys, "metrics", pred, gt, "--band-width", 1)
     assert len(report["result"]["per_class"]) == 3
     assert len(calls) == 2 * 3
-    # each band packs its mask once and stays packed through every count
+    # each class mask is packed once, from the labels, and stays packed
+    # through every count
     assert len(packs) == 2 * 3
     assert unpacks == []
 
@@ -793,13 +813,16 @@ def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three
     write_npy(probs_path, np.full((3, 8, 8), 1 / 3))
     write_npy(score_path, np.linspace(0.0, 1.0, 64).reshape(8, 8))
     calls = _count_band_calls(monkeypatch)
+    packs = _count_calls(monkeypatch, segmetrics, "pack_class")
     report = run_json(
         capsys, "analyze", "--score", score_path, "--probs", probs_path,
         "--pred", pred, "--gt", gt, "--band-width", 1, "--bins", 2,
     )
     curves = set(report["result"]["curves"])
     assert curves == {"boundary_cross_entropy", "error_type_distribution"}
+    # the --probs union takes each pair's G_d, so no gt band is built twice
     assert len(calls) == 2 * 3
+    assert len(packs) == 2 * 3
 
 
 _RANGE_CHECKS = [  # command, flag, config key (None: flag only), bad value

@@ -70,6 +70,9 @@ def files(tmp_path_factory):
         gt[-16:] = 255  # an ignore strip
         put(f"gt{n}", gt)
         put(f"pred{n}", np.roll(labels(n), 5, axis=1))
+        if n == 4:  # the same labels as <i4
+            put("gt4i4", gt.astype("<i4"))
+            put("pred4i4", np.roll(labels(n), 5, axis=1).astype("<i4"))
     return paths
 
 
@@ -109,15 +112,16 @@ def cases(p):
                       "--map-out", out / "map.npy"], 1.65 * GRID**2 * 8),
         "orth": (["orth", p["bank"]], 3.3 * np.prod(BANK) * 8),
         "metrics": (["metrics", p["pred4"], p["gt4"]], 1.05 * MIB),
-        "analyze --score": (["analyze", *mask], 1.85 * MIB),
+        "metrics <i4": (["metrics", p["pred4i4"], p["gt4i4"]], 2.45 * MIB),
+        "analyze --score": (["analyze", *mask], 1.3 * MIB),
         "analyze --score --probs": (["analyze", *mask, "--probs", p["probs4"]], 2.5 * MIB),
     }
 
 
 COMMANDS = [
     "esr", "fold", "score", "daf", "split", "blur", "noise", "freqmix",
-    "analyze --features", "response", "orth", "metrics", "analyze --score",
-    "analyze --score --probs",
+    "analyze --features", "response", "orth", "metrics", "metrics <i4",
+    "analyze --score", "analyze --score --probs",
 ]
 
 
@@ -158,8 +162,7 @@ def test_features_peak_independent_of_height(tmp_path):
 
 
 def test_probs_peak_independent_of_channel_count(tmp_path):
-    # the probabilities are read about 65536 at a time, so beyond the
-    # (H, W) float64 score map held while its mean is taken, the peak with
+    # the probabilities are read about 65536 at a time, so the peak with
     # 64 channels is that with 4
     shape = (128, 256)
     score, gt = tmp_path / "score.npy", tmp_path / "gt.npy"
@@ -170,5 +173,18 @@ def test_probs_peak_independent_of_channel_count(tmp_path):
         probs = tmp_path / f"probs{c}.npy"
         write_npy(probs, probabilities(c, shape, seed=c))
         argv = ["analyze", "--score", score, "--probs", probs, "--pred", gt, "--gt", gt]
-        peaks[c] = traced_peak(argv) - np.prod(shape) * 8
+        peaks[c] = traced_peak(argv)
     assert peaks[64] <= 1.25 * peaks[4], f"{peaks[4] / MIB:.2f} MiB at C=4, {peaks[64] / MIB:.2f} at 64"
+
+
+def test_score_map_peak_below_the_map(tmp_path):
+    # an external map is read a leaf of values at a time for its mean and a
+    # block of rows at a time to bin, so on 1024 x 1024 |u1 masks the peak
+    # stays below the 8 MiB float64 map itself
+    shape = (1024, 1024)
+    score, pred, gt = (tmp_path / f"{name}.npy" for name in ("score", "pred", "gt"))
+    write_npy(score, np.random.default_rng(2).uniform(0.0, 1.0, shape))
+    write_npy(gt, labels(4, shape))
+    write_npy(pred, np.roll(labels(4, shape), 5, axis=1))
+    peak = traced_peak(["analyze", "--score", score, "--pred", pred, "--gt", gt])
+    assert peak < np.prod(shape) * 8, f"peak {peak / MIB:.2f} MiB"

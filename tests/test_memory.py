@@ -24,8 +24,8 @@ from alias_scope.antialias import (
     binomial_blur,
     daf,
 )
-from alias_scope.arrays import FeatureTensor, write_npy
-from alias_scope.cli import _load_score_map, _sha256
+from alias_scope.arrays import PAIRWISE_LEAF, FeatureTensor, ScoreFile, write_npy
+from alias_scope.cli import _sha256
 from alias_scope.freqmix import FreqMixWeights, freqmix_apply, frequency_split
 from alias_scope.sampling import FilterBank, filter_bank_orthogonality
 from alias_scope.spectral import FreqGrid, fft2, power_spectrum
@@ -236,7 +236,19 @@ def test_float64_score_map_loads_without_a_copy(tmp_path):
     path = tmp_path / "score.npy"
     values = np.random.default_rng(0).uniform(0.0, 1.0, (512, 1024))
     write_npy(path, values)
-    # the array read from the file becomes the map; astype without
-    # copy=False made a second one
-    assert traced_peak(_load_score_map, path) <= 1.25 * values.nbytes
-    assert np.array_equal(_load_score_map(path).values, values)
+    # the rows read from the file are the map; astype without copy=False
+    # made a second one
+    scores = ScoreFile(path)
+    assert traced_peak(scores.rows, 0, 512) <= 1.25 * values.nbytes
+    assert np.array_equal(scores.rows(0, 512), values)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_score_map_mean_holds_one_leaf(tmp_path, dtype):
+    path = tmp_path / "score.npy"
+    values = np.random.default_rng(0).uniform(0.0, 1.0, (512, 1024)).astype(dtype)
+    write_npy(path, values)
+    # one float64 leaf and its read buffer, not the 4 MiB float64 map
+    scores = ScoreFile(path)
+    assert traced_peak(scores.mean) <= 1.25 * PAIRWISE_LEAF * (8 + values.itemsize)
+    assert scores.mean() == values.astype(np.float64).mean()

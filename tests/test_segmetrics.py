@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope import segmetrics
-from alias_scope.arrays import BinaryMask, LabelMask
+from alias_scope.arrays import BinaryMask, LabelMask, class_mask
 from alias_scope.errors import ShapeError, ValidationError
 from alias_scope.segmetrics import (
     TAG_DISPLACEMENT,
@@ -98,6 +98,23 @@ def test_pack_rows_round_trip_with_zero_padding(h, w, seed):
     assert words.dtype == np.dtype("<u8") and words.shape == (h, -(-w // 64))
     assert np.array_equal(unpack_rows(words, w), bits)
     assert np.bitwise_count(words).sum() == bits.sum()  # padding bits are 0
+
+
+@pytest.mark.parametrize("dtype", ["|u1", "<u2", "<i4"])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 63), (3, 129), (300, 300), (70, 1000)])
+def test_pack_class_packs_the_class_mask(dtype, shape):
+    # rows packed a block at a time (300 x 300 and 70 x 1000 take several
+    # blocks) give the words of the whole bool mask; the ignore value's
+    # mask, and that of a label absent from the grid, are empty
+    labels = np.random.default_rng(shape[1]).choice([0, 1, 5, 255], shape).astype(dtype)
+    for ignore in (None, 255):
+        mask = LabelMask(labels, ignore_value=ignore)
+        for c in (0, 1, 5, 255, 7):
+            packed, bits = segmetrics.pack_class(mask, c), class_mask(mask, c)
+            assert packed.shape == shape and packed.words.dtype == np.dtype("<u8")
+            assert np.array_equal(packed.words, pack_rows(bits.bits))
+            # and its band is the bool mask's
+            assert np.array_equal(boundary_band(packed, 2).words, boundary_band(bits, 2).words)
 
 
 # --- boundary band
@@ -382,15 +399,19 @@ def test_class_band_pairs_match_single_class_and_oracles(h, w, n_classes, d, see
 
 
 def test_class_band_pairs_builds_each_pair_when_asked(monkeypatch):
-    calls = []
-    real = segmetrics.band_pair
-    monkeypatch.setattr(segmetrics, "band_pair", lambda *a: calls.append(a) or real(*a))
+    # a pair is built from two class masks packed from the labels
+    pairs_built, packs = [], []
+    for name, calls in (("band_pair", pairs_built), ("pack_class", packs)):
+        real = getattr(segmetrics, name)
+        monkeypatch.setattr(
+            segmetrics, name, lambda *a, real=real, calls=calls: calls.append(a) or real(*a)
+        )
     labels = LabelMask(np.array([[0, 0, 1], [2, 2, 1], [2, 3, 3]], dtype=np.uint8))
     pairs = class_band_pairs(labels, labels, d=1)
-    assert calls == []
-    assert next(pairs)[0] == 0 and len(calls) == 1
+    assert pairs_built == [] and packs == []
+    assert next(pairs)[0] == 0 and len(pairs_built) == 1 and len(packs) == 2
     assert [c for c, _ in pairs] == [1, 2, 3]
-    assert len(calls) == 4
+    assert len(pairs_built) == 4 and len(packs) == 8
 
 
 @pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
