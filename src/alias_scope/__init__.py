@@ -1,6 +1,6 @@
 """Aliasing analysis for downsampling operators and segmentation outputs."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .antialias import (
     CutoffSpec,

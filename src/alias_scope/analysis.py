@@ -31,21 +31,6 @@ from .arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, ScoreFile
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
 from .segmetrics import BandPair, PackedMask, error_type_masks
 
-THREADS_ENV = "ALIAS_SCOPE_THREADS"
-
-
-def worker_count() -> int:
-    """Available parallelism, capped by the ALIAS_SCOPE_THREADS env var."""
-    n = os.cpu_count() or 1
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            n = 1
-    return n
-
-
 @dataclass(frozen=True)
 class ScoreMap:
     """Per-pixel score in [0, 1] plus the parameters that produced it.  The
@@ -132,7 +117,7 @@ def patch_aliasing_map(
             return 0.0  # zero-power window carries no aliasing energy
 
     scores, pending, read_to = [], [], 0
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         for y in ys:
             # a stride past the window skips rows; read them, a band at a
             # time, only so that they are checked

@@ -3,10 +3,11 @@
 Measuring subcommands (esr, score, metrics, analyze, orth, fold, response)
 print a JSON report to stdout or --out; transforming subcommands (daf,
 blur, noise, freqmix, split) write NPY files.  Reports embed the tool
-version, the resolved run configuration, and sha256 digests of every
-input, so identical invocations produce byte-identical output.  Each
-subcommand accepts only the flags it reads: --format on the measuring
-commands, --seed on noise, --out everywhere but split.
+version, the settings the command read (`config`) and sha256 digests of
+every input, so identical invocations produce byte-identical output.
+Each subcommand accepts only the flags it reads: --format on the
+measuring commands, --seed on noise, --out everywhere but split.  Of a
+--config file it reads and checks only the keys of the SETTINGS it uses.
 
 Exit codes: 0 success, 2 usage/input error, 3 internal invariant failure.
 """
@@ -21,7 +22,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,20 +89,24 @@ from .segmetrics import (
 TOOL_NAME = "alias-scope"
 FORMATS = ("json", "csv")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters, embedded in every report."""
-
-    cutoff_source: str
-    cutoff: float | None
-    score_mode: str
-    band_width: int | None
-    window: int
-    stride: int
-    bins: int
-    out_format: str
-    seed: int
+# setting: config key, cast, default, flag attribute, choices.  Commands
+# resolve their settings in this order, so the first bad one is reported.
+SETTINGS = {
+    "cutoff": ("cutoff.value", float, None, "cutoff", None),
+    "flc_stride": ("cutoff.flc_stride", int, None, "flc_stride", None),
+    "score_mode": ("score.mode", str, "per_channel_mean", "mode", SCORE_MODES),
+    "band_width": ("metrics.band_width", int, None, "band_width", None),
+    "window": ("analysis.window", int, 32, "window", None),
+    "stride": ("analysis.stride", int, 8, "stride_px", None),
+    "bins": ("analysis.bins", int, 20, "bins", None),
+    "out_format": ("output.format", str, "json", "format", FORMATS),
+    "seed": ("output.seed", int, 0, "seed", None),
+}
+# the flags of analyze that only --features reads
+FEATURE_FLAGS = (
+    "--window", "--stride-px", "--cutoff", "--flc-stride", "--kernel", "--kernel-h",
+    "--kernel-w", "--cin", "--cout", "--stride", "--in-h", "--in-w", "--out-h", "--out-w",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +127,19 @@ def _load_config_file(path) -> dict[str, str]:
     return flat
 
 
-def _cfg(args, key: str, cast, fallback, attr: str | None = None, choices=None):
-    """Explicit flag > config file > fallback.
+def _setting(args, name: str):
+    """Explicit flag > config file > default.
 
     A config value must cast, and must be one of `choices` when those are
     given; argparse already holds the flag to the same choices.
     """
-    attr = attr if attr is not None else key.split(".", 1)[1]
+    key, cast, default, attr, choices = SETTINGS[name]
     value = getattr(args, attr, None)
     if value is not None:
         return value
     cfg = getattr(args, "_config", {})
     if key not in cfg:
-        return fallback
+        return default
     try:
         value = cast(cfg[key])
     except ValueError as exc:
@@ -142,6 +147,12 @@ def _cfg(args, key: str, cast, fallback, attr: str | None = None, choices=None):
     if choices is not None and value not in choices:
         raise InputError(f"config {key}={value!r}: expected one of {', '.join(choices)}")
     return value
+
+
+def _settings(args, *names: str) -> dict:
+    """The named settings, resolved and checked in SETTINGS order: the
+    `config` block of the command's report."""
+    return {name: _setting(args, name) for name in SETTINGS if name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +191,14 @@ def _downsample_spec_from_args(args) -> DownsampleSpec:
 
 def _resolve_cutoff(args, default: float | None = None) -> tuple[str, float]:
     """Pick exactly one cutoff source: --cutoff, ESR flags, or --flc-stride."""
-    explicit = _cfg(args, "cutoff.value", float, None, attr="cutoff")
+    explicit = _setting(args, "cutoff")
     esr_given = any(
         getattr(args, name, None) is not None
         for name in ("kernel", "kernel_h", "kernel_w", "cin", "cout")
     )
     flc = getattr(args, "flc_stride", None)
     if flc is None and explicit is None and not esr_given:
-        flc = _cfg(args, "cutoff.flc_stride", int, None)
+        flc = _setting(args, "flc_stride")
     sources = [explicit is not None, esr_given, flc is not None]
     if sum(sources) > 1:
         raise InputError(
@@ -221,20 +232,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _run_config(args, cutoff_source: str = "none", cutoff: float | None = None) -> RunConfig:
-    return RunConfig(
-        cutoff_source=cutoff_source,
-        cutoff=cutoff,
-        score_mode=_cfg(args, "score.mode", str, "per_channel_mean", choices=SCORE_MODES),
-        band_width=_cfg(args, "metrics.band_width", int, None),
-        window=_cfg(args, "analysis.window", int, 32),
-        stride=_cfg(args, "analysis.stride", int, 8, attr="stride_px"),
-        bins=_cfg(args, "analysis.bins", int, 20),
-        out_format=_cfg(args, "output.format", str, "json", attr="format", choices=FORMATS),
-        seed=_cfg(args, "output.seed", int, 0),
-    )
-
-
 def _write(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -242,16 +239,16 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_json(config: RunConfig, inputs: dict, result: dict) -> str:
+def _report_json(config: dict, inputs: dict, result: dict) -> str:
     """Strict, key-sorted JSON report of a measuring command, with the tool
-    version, resolved config and input digests.  Every measuring command
-    builds its report here; a non-JSON --format is an input error."""
-    if config.out_format != "json":
+    version, the settings it read and input digests.  Every measuring
+    command builds its report here; a non-JSON --format is an input error."""
+    if config["out_format"] != "json":
         raise InputError("csv output is only available for binned curves (analyze)")
     report = {
         "tool": TOOL_NAME,
         "version": __version__,
-        "config": asdict(config),
+        "config": config,
         "inputs": {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in inputs.items()
@@ -300,12 +297,12 @@ def _external_score_map(path) -> tuple[float, ScoreMap]:
     return scores.mean(), ScoreMap(scores, window=0, stride=0, cutoff=0.0, mode="external")
 
 
-def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
-    if config.band_width is None:
+def _band_width_for(band_width: int | None, shape: tuple[int, int]) -> int:
+    if band_width is None:
         return default_band_width(*shape)
-    if config.band_width < 1:
-        raise InputError(f"band width must be >= 1, got {config.band_width}")
-    return config.band_width
+    if band_width < 1:
+        raise InputError(f"band width must be >= 1, got {band_width}")
+    return band_width
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +311,14 @@ def _band_width_for(config: RunConfig, shape: tuple[int, int]) -> int:
 
 def cmd_esr(args) -> None:
     spec = _downsample_spec_from_args(args)
-    config = _run_config(args, "esr", nyquist(spec))
+    config = _settings(args, "out_format")
     rate = esr(spec)
     rate_h, rate_w = esr_anisotropic(spec)
     result = {
         "esr": rate,
         "esr_h": rate_h,
         "esr_w": rate_w,
-        "nyquist": config.cutoff,
+        "nyquist": nyquist(spec),
         "stride_h": spec.stride_h,
         "stride_w": spec.stride_w,
         "kernel_smaller_than_stride": spec.kernel_smaller_than_stride,
@@ -331,12 +328,13 @@ def cmd_esr(args) -> None:
 
 def cmd_score(args) -> None:
     source, cutoff = _resolve_cutoff(args)
-    config = _run_config(args, source, cutoff)
+    config = {**_settings(args, "score_mode", "out_format"),
+              "cutoff_source": source, "cutoff": cutoff}
     f = _load_feature(args.input)
     high, total = band_power(fft2(f), CutoffSpec(cutoff))
     result = {
-        "aliasing_score": score_from_power(high, total, config.score_mode),
-        "mode": config.score_mode,
+        "aliasing_score": score_from_power(high, total, config["score_mode"]),
+        "mode": config["score_mode"],
         "per_channel_mean": score_from_power(high, total, "per_channel_mean"),
         "global": score_from_power(high, total, "global"),
         "per_channel": channel_scores(high, total),
@@ -374,9 +372,9 @@ def cmd_blur(args) -> None:
 
 
 def cmd_noise(args) -> None:
-    config = _run_config(args)
+    seed = _setting(args, "seed")
     f = _load_feature(args.input)
-    save_array(add_gaussian_noise(f, args.sigma, config.seed), _require_out(args))
+    save_array(add_gaussian_noise(f, args.sigma, seed), _require_out(args))
 
 
 def cmd_freqmix(args) -> None:
@@ -393,7 +391,7 @@ def cmd_freqmix(args) -> None:
 
 
 def cmd_metrics(args) -> None:
-    config = _run_config(args)
+    config = _settings(args, "band_width", "out_format")
     if args.classes is not None and args.classes < 0:
         raise InputError(f"--classes must be >= 0, got {args.classes}")
     ignore = args.ignore_value
@@ -405,7 +403,7 @@ def cmd_metrics(args) -> None:
     n_classes = args.classes if args.classes is not None else (max(classes) + 1 if classes else 0)
     # miou validates both masks against n_classes, so it runs before any band
     mean_iou = miou(pred, gt, n_classes, gt_classes_only=not args.all_classes)
-    d = _band_width_for(config, gt.data.shape)
+    d = _band_width_for(config["band_width"], gt.data.shape)
     errors = multiclass_errors(class_band_pairs(pred, gt, d, classes))
     per_class = {
         str(c): {
@@ -438,10 +436,19 @@ def cmd_analyze(args) -> None:
         raise InputError("give exactly one of --features or --score")
     curves: dict[str, list[dict]] = {}
     result: dict = {}
-    source, cutoff = _resolve_cutoff(args) if args.features is not None else ("none", None)
-    config = _run_config(args, source, cutoff)
-    if config.bins < 2:
-        raise InputError(f"bins must be >= 2, got {config.bins}")
+    if args.features is not None:
+        source, cutoff = _resolve_cutoff(args)
+        config = {**_settings(args, "band_width", "window", "stride", "bins", "out_format"),
+                  "cutoff_source": source, "cutoff": cutoff}
+    else:
+        given = [flag for flag in FEATURE_FLAGS
+                 if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if given:
+            raise InputError(f"--score does not read {', '.join(given)}: only --features does")
+        config = _settings(args, "band_width", "bins", "out_format")
+    bins = config["bins"]
+    if bins < 2:
+        raise InputError(f"bins must be >= 2, got {bins}")
     # every per-pixel input is read a block of rows at a time: the
     # features a band of window rows, an external score map a leaf of
     # values at a time for its mean and again in blocks to bin, and the
@@ -449,7 +456,7 @@ def cmd_analyze(args) -> None:
     if args.features is not None:
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
-            FeatureFile(args.features), config.window, config.stride, CutoffSpec(cutoff)
+            FeatureFile(args.features), config["window"], config["stride"], CutoffSpec(cutoff)
         )
         mean = float(score_map.values.mean())
     else:
@@ -463,7 +470,7 @@ def cmd_analyze(args) -> None:
         inputs["gt"] = args.gt
         if gt.data.shape != score_map.shape:
             raise InputError("gt shape does not match the score map")
-    d = _band_width_for(config, score_map.shape)
+    d = _band_width_for(config["band_width"], score_map.shape)
     result["band_width"] = d
 
     gt_bands = None
@@ -488,18 +495,18 @@ def cmd_analyze(args) -> None:
         pairs = class_band_pairs(pred, gt, d)
         if gt_bands is not None:
             pairs = gt_bands.add_gt_bands(pairs)
-        dist = error_type_distribution(pairs, score_map, d, config.bins)
+        dist = error_type_distribution(pairs, score_map, d, bins)
     elif gt_bands is not None:
         for c in gt.present_classes():
             gt_bands.add(boundary_band(pack_class(gt, c), d).words)
 
     if gt_bands is not None:
-        curve = bin_by_score(score_map, ce, gt_bands.mask, config.bins)
+        curve = bin_by_score(score_map, ce, gt_bands.mask, bins)
         curves["boundary_cross_entropy"] = curve.rows()
     if dist is not None:
         curves["error_type_distribution"] = dist.rows()
 
-    if config.out_format == "csv":
+    if config["out_format"] == "csv":
         if not curves:
             raise InputError("csv output needs at least one curve (--probs/--pred)")
         _write(args, _curves_csv(curves))
@@ -509,7 +516,7 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_response(args) -> None:
-    config = _run_config(args)
+    config = _settings(args, "out_format")
     inputs = {}
     if (args.builtin is None) == (args.kernel_file is None):
         raise InputError("give exactly one of --builtin or --kernel-file")
@@ -540,7 +547,7 @@ def cmd_response(args) -> None:
 
 
 def cmd_orth(args) -> None:
-    config = _run_config(args)
+    config = _settings(args, "out_format")
     bank = FilterBank.from_npy(args.bank)
     matrix, mean_off = filter_bank_orthogonality(bank)
     result = {
@@ -552,7 +559,7 @@ def cmd_orth(args) -> None:
 
 
 def cmd_fold(args) -> None:
-    config = _run_config(args)
+    config = _settings(args, "out_format")
     folded = predicted_alias_frequency(args.freq, args.stride)
     result = {
         "input_frequency": args.freq,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,7 +18,6 @@ from alias_scope.analysis import (
     error_type_distribution,
     patch_aliasing_map,
     pixel_cross_entropy,
-    worker_count,
 )
 from alias_scope.antialias import CutoffSpec, aliasing_score
 from alias_scope.arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, write_npy
@@ -85,9 +85,9 @@ def test_patch_map_metadata():
 
 def test_patch_map_independent_of_thread_count(monkeypatch):
     f = FeatureTensor(np.random.default_rng(2).standard_normal((1, 24, 24)))
-    monkeypatch.setenv("ALIAS_SCOPE_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     serial = patch_aliasing_map(f, 8, 4, QUARTER).values
-    monkeypatch.setenv("ALIAS_SCOPE_THREADS", "4")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     threaded = patch_aliasing_map(f, 8, 4, QUARTER).values
     assert np.array_equal(serial, threaded)
 
@@ -227,13 +227,6 @@ def test_feature_file_rows_read_each_channel_band(tmp_path):
         assert band.dtype == data.dtype
         assert np.array_equal(band, data[:, y0:y1])
         assert np.array_equal(band, FeatureTensor(data).rows(y0, y1))
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("ALIAS_SCOPE_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("ALIAS_SCOPE_THREADS", "not-a-number")
-    assert worker_count() == 1
 
 
 # --- pixel cross entropy

@@ -864,11 +864,8 @@ def test_out_of_range_settings_exit_2_without_bands(
 def test_report_bytes_independent_of_thread_cap(capsys, monkeypatch, mask_pair):
     pred, gt = mask_pair
     outputs = []
-    for cap in ("1", None):
-        if cap is None:
-            monkeypatch.delenv("ALIAS_SCOPE_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ALIAS_SCOPE_THREADS", cap)
+    for count in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
         for argv in (["fold", "--freq", "0.4", "--stride", "2"], ["metrics", pred, gt]):
             code, out, err = run(capsys, *argv)
             assert code == 0, err
@@ -1016,6 +1013,28 @@ def test_only_blur_and_freqmix_import_scipy(tmp_path):
 MEASURING = ("esr", "score", "metrics", "analyze", "response", "orth", "fold")
 TRANSFORMS = ("daf", "split", "blur", "noise", "freqmix")
 
+# the config-file keys each command reads (analyze with --features) ...
+_OUT, _CUTOFF = {"output.format"}, {"cutoff.value", "cutoff.flc_stride"}
+KEYS_READ = {
+    "esr": _OUT, "response": _OUT, "orth": _OUT, "fold": _OUT,
+    "score": {*_CUTOFF, "score.mode", *_OUT},
+    "daf": _CUTOFF, "split": _CUTOFF, "freqmix": _CUTOFF,
+    "blur": set(),
+    "noise": {"output.seed"},
+    "metrics": {"metrics.band_width", *_OUT},
+    "analyze": {*_CUTOFF, "metrics.band_width", "analysis.window", "analysis.stride",
+                "analysis.bins", *_OUT},
+}
+# ... and the settings its report's `config` block holds
+REPORT_CONFIG = {
+    "esr": {"out_format"}, "response": {"out_format"}, "orth": {"out_format"},
+    "fold": {"out_format"},
+    "score": {"cutoff_source", "cutoff", "score_mode", "out_format"},
+    "metrics": {"band_width", "out_format"},
+    "analyze": {"cutoff_source", "cutoff", "band_width", "window", "stride", "bins",
+                "out_format"},
+}
+
 
 @pytest.fixture(scope="module")
 def command_argv(tmp_path_factory):
@@ -1150,6 +1169,10 @@ def test_config_choice_keys_checked(capsys, tmp_path, command_argv, command, sec
     cfg = tmp_path / "run.cfg"
     cfg.write_text(section)
     code, out, err = run(capsys, *command_argv[command], "--config", cfg)
+    if key not in KEYS_READ[command]:  # metrics never reads score.mode
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)["config"]) == REPORT_CONFIG[command]
+        return
     assert code == 2
     assert out == ""
     assert err.startswith(f"alias-scope: error: config {key}=") and "expected one of" in err
@@ -1228,5 +1251,61 @@ def test_cli_fuzz_config_files(command_argv, command, text):
         assert command == "analyze"
     else:
         config = json.loads(out, parse_constant=_reject_constant)["config"]
-        assert config["score_mode"] in ("per_channel_mean", "global")
+        assert set(config) == REPORT_CONFIG[command]
+        assert config.get("score_mode", "global") in ("per_channel_mean", "global")
         assert config["out_format"] == "json"
+
+
+def _outputs(argv):
+    return [Path(argv[i + 1]).read_bytes() for i, flag in enumerate(argv)
+            if flag in ("--out", "--out-low", "--out-high")]
+
+
+@pytest.fixture(scope="module")
+def runs_without_config(command_argv):
+    runs = {}
+    for command, argv in command_argv.items():
+        runs[command] = (*_main_captured(argv), _outputs(argv))
+    return runs
+
+
+_name = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_entries = st.dictionaries(
+    st.tuples(st.one_of(st.sampled_from(list(CONFIG_KEYS)), _name),
+              st.one_of(st.sampled_from([k for keys in CONFIG_KEYS.values() for k in keys]),
+                        _name)),
+    _config_value,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([*MEASURING, *TRANSFORMS]), _entries)
+def test_config_keys_not_read_change_nothing(command_argv, runs_without_config, command, entries):
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in entries.items():
+        if f"{section}.{key}" not in KEYS_READ[command]:
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+    argv = command_argv[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "run.cfg")
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = _main_captured([*argv, "--config", str(cfg)])
+    assert (code, out, err, _outputs(argv)) == runs_without_config[command], text
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--window", 5), ("--stride-px", 3), ("--cutoff", 0.3), ("--flc-stride", 2),
+    ("--kernel", 3), ("--kernel-h", 3), ("--kernel-w", 3), ("--cin", 4), ("--cout", 4),
+    ("--stride", 2), ("--in-h", 8), ("--in-w", 8), ("--out-h", 4), ("--out-w", 4),
+])
+def test_analyze_score_rejects_feature_flags(capsys, tmp_path, flag, value):
+    score = tmp_path / "score.npy"
+    write_npy(score, np.full((8, 8), 0.5))
+    assert run(capsys, "analyze", "--score", score)[0] == 0
+    code, out, err = run(capsys, "analyze", "--score", score, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("alias-scope: error:") and err.count("\n") == 1
+    assert flag in err

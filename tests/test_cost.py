@@ -16,6 +16,7 @@ window scores overlap in time moves its peak.
 
 import contextlib
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -127,7 +128,7 @@ COMMANDS = [
 
 @pytest.fixture(autouse=True)
 def one_worker(monkeypatch):
-    monkeypatch.setenv("ALIAS_SCOPE_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
