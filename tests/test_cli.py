@@ -861,16 +861,18 @@ def test_out_of_range_settings_exit_2_without_bands(
     assert f"got {value}" in err
 
 
-def test_report_bytes_independent_of_thread_cap(capsys, monkeypatch, mask_pair):
+def test_report_bytes_independent_of_thread_cap(capsys, monkeypatch, mask_pair, feature_file):
     pred, gt = mask_pair
+    features = ["analyze", "--features", feature_file, "--cutoff", "0.25", "--window", "8",
+                "--stride-px", "4"]
     outputs = []
     for count in (1, 4):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        for argv in (["fold", "--freq", "0.4", "--stride", "2"], ["metrics", pred, gt]):
+        for argv in (["fold", "--freq", "0.4", "--stride", "2"], ["metrics", pred, gt], features):
             code, out, err = run(capsys, *argv)
             assert code == 0, err
             outputs.append(out)
-    assert outputs[:2] == outputs[2:]
+    assert outputs[:3] == outputs[3:]
 
 
 def test_metrics_all_ignored_masks_report_nulls(capsys, tmp_path):
