@@ -102,11 +102,11 @@ SETTINGS = {
     "out_format": ("output.format", str, "json", "format", FORMATS),
     "seed": ("output.seed", int, 0, "seed", None),
 }
+# the downsampler's flags: any one of them makes its ESR the cutoff source
+ESR_FLAGS = ("--kernel", "--kernel-h", "--kernel-w", "--cin", "--cout",
+             "--stride", "--in-h", "--in-w", "--out-h", "--out-w")
 # the flags of analyze that only --features reads
-FEATURE_FLAGS = (
-    "--window", "--stride-px", "--cutoff", "--flc-stride", "--kernel", "--kernel-h",
-    "--kernel-w", "--cin", "--cout", "--stride", "--in-h", "--in-w", "--out-h", "--out-w",
-)
+FEATURE_FLAGS = ("--window", "--stride-px", "--cutoff", "--flc-stride", *ESR_FLAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +189,33 @@ def _downsample_spec_from_args(args) -> DownsampleSpec:
     )
 
 
+def _given(args, flags) -> list[str]:
+    """Those of `flags` given on the command line."""
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
 def _resolve_cutoff(args, default: float | None = None) -> tuple[str, float]:
-    """Pick exactly one cutoff source: --cutoff, ESR flags, or --flc-stride."""
-    explicit = _setting(args, "cutoff")
-    esr_given = any(
-        getattr(args, name, None) is not None
-        for name in ("kernel", "kernel_h", "kernel_w", "cin", "cout")
-    )
-    flc = getattr(args, "flc_stride", None)
-    if flc is None and explicit is None and not esr_given:
-        flc = _setting(args, "flc_stride")
-    sources = [explicit is not None, esr_given, flc is not None]
-    if sum(sources) > 1:
-        raise InputError(
-            "specify exactly one cutoff source: --cutoff, ESR flags, or --flc-stride"
-        )
-    if explicit is not None:
-        return "explicit", explicit
+    """The cutoff source as a whole: flags > config file > default.  Given
+    flags name exactly one of --cutoff, --flc-stride or the downsampler,
+    and the config's [cutoff] keys are then not read; without flags the
+    config may set one of them."""
+    esr_given = bool(_given(args, ESR_FLAGS))
+    explicit, flc = args.cutoff, args.flc_stride
+    if esr_given + (explicit is not None) + (flc is not None) > 1:
+        raise InputError("specify exactly one cutoff source: --cutoff, ESR flags, or --flc-stride")
+    if not esr_given and explicit is None and flc is None:
+        explicit, flc = _setting(args, "cutoff"), _setting(args, "flc_stride")
+        if explicit is not None and flc is not None:
+            raise InputError("config sets both cutoff.value and cutoff.flc_stride: keep one")
     if esr_given:
         return "esr", nyquist(_downsample_spec_from_args(args))
+    if explicit is not None:
+        return "explicit", explicit
     if flc is not None:
         return "flc", flc_cutoff(flc).cutoff
     if default is not None:
         return "default", default
-    raise InputError(
-        "a cutoff is required: give --cutoff, ESR flags, or --flc-stride"
-    )
+    raise InputError("a cutoff is required: give --cutoff, ESR flags, or --flc-stride")
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +442,7 @@ def cmd_analyze(args) -> None:
         config = {**_settings(args, "band_width", "window", "stride", "bins", "out_format"),
                   "cutoff_source": source, "cutoff": cutoff}
     else:
-        given = [flag for flag in FEATURE_FLAGS
-                 if getattr(args, flag[2:].replace("-", "_")) is not None]
-        if given:
+        if given := _given(args, FEATURE_FLAGS):
             raise InputError(f"--score does not read {', '.join(given)}: only --features does")
         config = _settings(args, "band_width", "bins", "out_format")
     bins = config["bins"]
@@ -516,6 +515,8 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_response(args) -> None:
+    if args.map_out and args.out and Path(args.map_out).resolve() == Path(args.out).resolve():
+        raise InputError(f"--map-out and --out are the same file: {args.map_out}")
     config = _settings(args, "out_format")
     inputs = {}
     if (args.builtin is None) == (args.kernel_file is None):
@@ -581,17 +582,13 @@ def _add_cutoff_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_esr_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("downsampler description")
-    group.add_argument("--kernel", type=int, help="square kernel size")
-    group.add_argument("--kernel-h", type=int)
-    group.add_argument("--kernel-w", type=int)
-    group.add_argument("--cin", type=int, help="input channels")
-    group.add_argument("--cout", type=int, help="output channels")
-    group.add_argument("--stride", type=int, help="spatial stride")
-    group.add_argument("--in-h", type=int)
-    group.add_argument("--in-w", type=int)
-    group.add_argument("--out-h", type=int)
-    group.add_argument("--out-w", type=int)
+    group = parser.add_argument_group(
+        "downsampler description",
+        "a kernel size (square, or per axis), input and output channels, and a "
+        "stride or all four input and output sizes",
+    )
+    for flag in ESR_FLAGS:
+        group.add_argument(flag, type=int)
 
 
 @functools.cache  # main() may run many times in one process

@@ -557,3 +557,197 @@ def test_distribution_fully_ignored_masks_count_nothing():
     curve = error_type_distribution(class_band_pairs(ignored, ignored, 1), score, d=1, n_bins=4)
     assert curve.counts.tolist() == [0, 0, 0, 0]
     assert all(c.tolist() == [0, 0, 0, 0] for c in curve.type_counts.values())
+
+
+# --- planted truth: analyze on features whose window scores are known
+#
+# The features are 96x96 tiles.  A tile sums a cosine above the 0.25
+# cutoff (amplitude a, along rows) and one below it (amplitude b, along
+# columns), both a whole number of cycles per window, so every window
+# inside a tile holds exactly the two and scores a^2 / (a^2 + b^2).  Every
+# class boundary and its band lie where pixels take their score from a
+# window inside one tile, so the curves follow from the oracle's bands.
+
+TILE = 96
+TILE_SCORES = np.array([[0.1, 0.2 + 2e-6], [0.5, 0.8 - 2e-6]])  # one bin of 5 each
+
+
+def _window_tiles(extent: int, window: int, stride: int) -> np.ndarray:
+    """The tile of the window each pixel takes its score from, -1 where that
+    window crosses a tile edge.  Windows start every `stride` pixels, the
+    last flush with the far edge, and a pixel takes the window whose center
+    (start + window // 2) is nearest, the lower one on a tie."""
+    starts = list(range(0, extent - window + 1, stride))
+    if starts[-1] != extent - window:
+        starts.append(extent - window)
+    starts = np.array(starts)
+    nearest = starts[np.argmin(np.abs(np.arange(extent)[:, None] - starts - window // 2), axis=1)]
+    return np.where(nearest // TILE == (nearest + window - 1) // TILE, nearest // TILE, -1)
+
+
+def _clean_spans(extent: int, window: int, stride: int) -> list[tuple[int, int]]:
+    """Per tile, the pixels [lo, hi) that take their score from a window
+    inside it; each is one run, as the nearest window moves monotonically."""
+    tiles = _window_tiles(extent, window, stride)
+    spans = []
+    for t in range(extent // TILE):
+        run = np.flatnonzero(tiles == t)
+        assert np.array_equal(run, np.arange(run[0], run[-1] + 1))
+        spans.append((int(run[0]), int(run[-1]) + 1))
+    return spans
+
+
+def _planted_features(window: int, channels: int) -> np.ndarray:
+    high, low = round(0.4 * window), round(0.1 * window)
+    assert high / window > 0.25 >= low / window and 2 * high != window
+    a = np.kron(np.sqrt(TILE_SCORES), np.ones((TILE, TILE)))
+    b = np.kron(np.sqrt(1.0 - TILE_SCORES), np.ones((TILE, TILE)))
+    y, x = np.indices(a.shape)
+    return np.stack([
+        a * np.cos(2 * np.pi * high * (y + c) / window) + b * np.cos(2 * np.pi * low * (x + 3 * c) / window)
+        for c in range(channels)
+    ])
+
+
+# per tile, (gt, pred) rectangles (class, y0, y1, x0, x1) around the center
+# of its clean region, drawn in order
+PLANTED_OBJECTS = {
+    (0, 0): ([(1, -10, 10, -10, 10)], [(1, -8, 12, -7, 13)]),
+    (0, 1): ([(2, -8, 8, -12, 12)], [(2, -8, 8, -12, 4), (1, -8, 8, 4, 12)]),
+    (1, 0): ([(1, -12, -4, -12, -4)], [(3, 2, 12, 0, 12)]),
+    (1, 1): ([(1, -10, 10, -10, 0), (2, -10, 10, 0, 10)],
+             [(1, -10, 10, -10, 2), (2, -10, 11, 2, 10)]),
+}
+REACH = 13  # every object lies within this distance of its center
+
+
+def _oracle_error_sets(pred: np.ndarray, gt: np.ndarray, d: int) -> list[np.ndarray]:
+    """false response, merging and displacement pixels from the brute-force
+    bands, merged across classes as `error_type_masks` documents: the lowest
+    class id claims a pixel."""
+    merged = [np.zeros(gt.shape, dtype=bool) for _ in range(3)]
+    claimed = np.zeros(gt.shape, dtype=bool)
+    for c in sorted(set(np.unique(pred)) | set(np.unique(gt))):
+        p, g = pred == c, gt == c
+        p_d, g_d = oracles.band_pixels(p, d), oracles.band_pixels(g, d)
+        for tagged, pixels in zip(merged, (p_d & ~g_d, g_d & ~p_d, p_d & g_d & ~(p & g))):
+            pixels &= ~claimed
+            tagged |= pixels
+            claimed |= pixels
+    return merged
+
+
+def _planted_masks(spans: list[tuple[int, int]], d: int):
+    """(pred, gt) label masks and, per tile, the crop that holds all of its
+    boundaries and bands with a margin of 2d + 2."""
+    shape = (len(spans) * TILE,) * 2
+    pred, gt = np.zeros(shape, np.uint8), np.zeros(shape, np.uint8)
+    crops = {}
+    for (ty, tx), objects in PLANTED_OBJECTS.items():
+        cy, cx = sum(spans[ty]) // 2, sum(spans[tx]) // 2
+        r = REACH + 2 * d + 2
+        crop = (slice(cy - r, cy + r), slice(cx - r, cx + r))
+        assert spans[ty][0] <= cy - r and cy + r <= spans[ty][1]
+        assert spans[tx][0] <= cx - r and cx + r <= spans[tx][1]
+        crops[ty, tx] = crop
+        for mask, rects in zip((gt, pred), objects):
+            for c, y0, y1, x0, x1 in rects:
+                assert max(map(abs, (y0, y1, x0, x1))) <= REACH
+                mask[cy + y0 : cy + y1, cx + x0 : cx + x1] = c
+    return pred, gt, crops
+
+
+def _run_analyze(tmp_path, arrays_by_flag: dict, *args) -> dict:
+    argv = ["analyze", "--cutoff", "0.25", *map(str, args)]
+    for flag, arr in arrays_by_flag.items():
+        path = tmp_path / f"{flag}.npy"
+        write_npy(path, arr)
+        argv += [f"--{flag}", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())["result"]["curves"]
+
+
+@pytest.mark.parametrize("window, stride, dtype, channels, d", [
+    (32, 8, "<f8", 3, 3),
+    (31, 31, "<f4", 1, 2),
+    (32, 32, "<f4", 3, 2),
+    (31, 5, "<f8", 1, 3),
+])
+def test_planted_error_type_counts(tmp_path, window, stride, dtype, channels, d):
+    n_bins = 5
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    assert np.abs(TILE_SCORES[..., None] - edges).min() >= 1e-6
+    spans = _clean_spans(2 * TILE, window, stride)
+    pred, gt, crops = _planted_masks(spans, d)
+    # pred and gt agree outside the crops, and there every band is the
+    # image border's, the same in both and of class 0 in both: no errors
+    outside = np.ones(gt.shape, dtype=bool)
+    for crop in crops.values():
+        outside[crop] = False
+    assert np.array_equal(pred[outside], gt[outside])
+    expected = {name: np.zeros(n_bins, dtype=int) for name in ("false_response", "merging", "displacement")}
+    for tile, crop in crops.items():
+        # inside a crop, its edge adds class 0 contour pixels with bands the
+        # same in pred and gt, 2d + 2 away from any object: the error sets
+        # are those of the whole image
+        errors = _oracle_error_sets(pred[crop], gt[crop], d)
+        assert not any(e[:d + 1].any() or e[-d - 1:].any() or e[:, :d + 1].any() or e[:, -d - 1:].any()
+                       for e in errors)
+        for name, tagged in zip(expected, errors):
+            expected[name][int(TILE_SCORES[tile] * n_bins)] += int(tagged.sum())
+    assert all(counts.sum() > 0 for counts in expected.values())
+
+    features = _planted_features(window, channels).astype(dtype)
+    curves = _run_analyze(tmp_path, {"features": features, "pred": pred, "gt": gt},
+                          "--window", window, "--stride-px", stride, "--bins", n_bins,
+                          "--band-width", d)
+    rows = curves["error_type_distribution"]
+    for name, counts in expected.items():
+        assert [row[f"count_{name}"] for row in rows] == counts.tolist(), name
+    assert [row["count"] for row in rows] == sum(expected.values()).tolist()
+
+
+def test_planted_cross_entropy_means(tmp_path):
+    """Dyadic p(true class) per tile: the simplex sums to 1 exactly and
+    every pixel of a tile has the same cross-entropy.  gt is ignored outside the clean regions,
+    so their edges are class 0 contour and the bands there count, while the
+    ignored frame between them, wider than the band, has no cross-entropy."""
+    window, stride, d, n_bins = 32, 8, 3, 5
+    spans = _clean_spans(2 * TILE, window, stride)
+    assert all(b[0] - a[1] > 2 * d for a, b in zip(spans, spans[1:]))
+    _, gt, _ = _planted_masks(spans, d)
+    p_true = np.array([[0.5, 0.25], [0.125, 0.75]])
+    framed = np.full(gt.shape, 255, np.uint8)
+    probs = np.empty((3, *gt.shape))  # gt holds classes 0, 1 and 2
+    expected_counts = np.zeros(n_bins, dtype=int)
+    expected_means = np.full(n_bins, np.nan)
+    for ty, tx in np.ndindex(2, 2):
+        crop = (slice(*spans[ty]), slice(*spans[tx]))
+        framed[crop] = gt[crop]
+        bands = np.zeros(gt[crop].shape, dtype=bool)
+        for c in np.unique(gt[crop]):
+            bands |= oracles.band_pixels(gt[crop] == c, d)
+        b = int(TILE_SCORES[ty, tx] * n_bins)
+        expected_counts[b] = int(bands.sum())
+        # equal values summed one at a time in pixel order, as binning
+        # does, round the same in any order
+        sums = np.cumsum(np.full(expected_counts[b], -np.log(p_true[ty, tx])))
+        expected_means[b] = sums[-1] / expected_counts[b]
+    for ty, tx in np.ndindex(2, 2):  # every pixel of a tile, clean or not
+        tile = (slice(ty * TILE, (ty + 1) * TILE), slice(tx * TILE, (tx + 1) * TILE))
+        true = np.where(framed[tile] == 255, 0, framed[tile])
+        probs[(slice(None), *tile)] = (1.0 - p_true[ty, tx]) / 2
+        np.put_along_axis(probs[(slice(None), *tile)], true[None], p_true[ty, tx], axis=0)
+    assert np.array_equal(probs.sum(axis=0), np.ones(gt.shape))
+
+    curves = _run_analyze(tmp_path, {"features": _planted_features(window, 3), "probs": probs,
+                                     "gt": framed},
+                          "--window", window, "--stride-px", stride, "--bins", n_bins,
+                          "--band-width", d)
+    rows = curves["boundary_cross_entropy"]
+    assert [row["count"] for row in rows] == expected_counts.tolist()
+    means = np.array([np.nan if row["mean"] is None else row["mean"] for row in rows])
+    assert np.all(np.isnan(means) == np.isnan(expected_means))
+    assert np.nanmax(np.abs(means - expected_means)) <= 1e-15

@@ -506,6 +506,19 @@ def test_response_grid_too_large_for_memory(capsys, tmp_path):
     assert not map_out.exists()
 
 
+def test_response_same_map_and_report_file_rejected(capsys, tmp_path):
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "resp.out"
+    code, stdout, err = run(
+        capsys, "response", "--builtin", "binomial3", "--grid", 8,
+        "--map-out", out, "--out", tmp_path / "sub" / ".." / "resp.out",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"alias-scope: error: --map-out and --out are the same file: {out}\n"
+    assert not out.exists()
+
+
 # --- orth
 
 
@@ -1311,3 +1324,144 @@ def test_analyze_score_rejects_feature_flags(capsys, tmp_path, flag, value):
     assert out == ""
     assert err.startswith("alias-scope: error:") and err.count("\n") == 1
     assert flag in err
+
+
+# --- the cutoff source rule, against a model written out here
+#
+# Flags > config file > default, the source taken as a whole: given flags
+# name exactly one of --cutoff, --flc-stride or the downsampler (any of its
+# ten flags), and the config's [cutoff] keys are then not read; without
+# flags the config sets at most one key; without either, freqmix takes 0.25.
+
+CUTOFF_COMMANDS = ("score", "daf", "split", "freqmix", "analyze")
+DOWNSAMPLER_VALUES = {
+    "--kernel": st.just(3), "--kernel-h": st.just(2), "--kernel-w": st.just(5),
+    "--cin": st.just(4), "--cout": st.sampled_from([8, 64]), "--stride": st.sampled_from([2, 4]),
+    "--in-h": st.just(16), "--in-w": st.just(32), "--out-h": st.just(8), "--out-w": st.just(16),
+}
+CUTOFF_FLAG_VALUES = {
+    "--cutoff": st.sampled_from([0.25, 0.3]), "--flc-stride": st.sampled_from([2, 4]),
+    **DOWNSAMPLER_VALUES,
+}
+_cutoff_flags = st.one_of(
+    st.fixed_dictionaries({}, optional=CUTOFF_FLAG_VALUES),
+    st.fixed_dictionaries({}, optional=DOWNSAMPLER_VALUES),
+    st.fixed_dictionaries({}, optional={f: CUTOFF_FLAG_VALUES[f] for f in ("--cutoff", "--flc-stride")}),
+    st.fixed_dictionaries(  # a kernel and channels, so that the stride and sizes decide
+        {f: v for f, v in DOWNSAMPLER_VALUES.items() if f in ("--kernel", "--cin", "--cout")},
+        optional={f: v for f, v in DOWNSAMPLER_VALUES.items() if f.startswith(("--stride", "--in", "--out"))},
+    ),
+)
+_cutoff_config = st.fixed_dictionaries({}, optional={"value": st.just(0.2), "flc_stride": st.just(3)})
+
+
+def _model_nyquist(flags: dict) -> float | None:
+    """Half the downsampler's ESR, clamped to 1/2; None where its flags do
+    not describe one."""
+    kernel_h, kernel_w = (flags.get(f, flags.get("--kernel")) for f in ("--kernel-h", "--kernel-w"))
+    if None in (kernel_h, kernel_w, flags.get("--cin"), flags.get("--cout")):
+        return None
+    sizes = [flags.get(f) for f in ("--in-h", "--in-w", "--out-h", "--out-w")]
+    stride = flags.get("--stride")
+    if any(sizes):
+        if not all(sizes):
+            return None
+        in_h, in_w, out_h, out_w = sizes
+        if stride is not None and (stride != in_h // out_h or stride != in_w // out_w):
+            return None
+    elif stride is None:
+        return None
+    else:
+        in_h, in_w, out_h, out_w = stride, stride, 1, 1
+    k = min(kernel_h, kernel_w, math.sqrt(flags["--cout"] / flags["--cin"]))
+    return min(k * math.sqrt((out_h * out_w) / (in_h * in_w)) / 2.0, 0.5)
+
+
+def _cutoff_model(command: str, flags: dict, config: dict) -> tuple[int, str | None, float | None]:
+    """(exit code, cutoff_source, cutoff) of the rule above."""
+    downsampler = {f: v for f, v in flags.items() if f in DOWNSAMPLER_VALUES}
+    sources = [f for f in ("--cutoff", "--flc-stride") if f in flags] + ["esr"] * bool(downsampler)
+    if len(sources) > 1 or (not sources and len(config) > 1):
+        return 2, None, None
+    if downsampler:
+        cutoff = _model_nyquist(downsampler)
+        return (2, None, None) if cutoff is None else (0, "esr", cutoff)
+    value, stride = flags.get("--cutoff"), flags.get("--flc-stride")
+    if not sources:
+        value, stride = config.get("value"), config.get("flc_stride")
+    if value is not None:
+        return 0, "explicit", value
+    if stride is not None:
+        return 0, "flc", 1 / (2 * stride)
+    return (0, "default", 0.25) if command == "freqmix" else (2, None, None)
+
+
+@pytest.fixture(scope="module")
+def cutoff_argv(command_argv, tmp_path_factory):
+    """Each cutoff command's argument vector without a cutoff source."""
+    tmp = tmp_path_factory.mktemp("cutoff")
+    feat = command_argv["score"][1]
+    argv = {
+        "score": ["score", feat],
+        "daf": ["daf", feat, "--out", tmp / "daf.npy"],
+        "split": ["split", feat, "--out-low", tmp / "lo.npy", "--out-high", tmp / "hi.npy"],
+        "freqmix": [*command_argv["freqmix"][:-1], tmp / "mix.npy"],
+        "analyze": ["analyze", "--features", feat, "--window", 8, "--stride-px", 4],
+    }
+    return {name: [str(a) for a in args] for name, args in argv.items()}
+
+
+def _run_cutoff(argv: list[str], flags: dict, config: dict):
+    """(exit code, stdout, stderr, output bytes) of argv with these cutoff
+    flags and [cutoff] config keys."""
+    argv = [*argv, *(str(a) for item in flags.items() for a in item)]
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            cfg = Path(tmp, "run.cfg")
+            cfg.write_text("[cutoff]\n" + "".join(f"{k} = {v}\n" for k, v in config.items()))
+            argv += ["--config", str(cfg)]
+        code, out, err = _main_captured(argv)
+    return code, out, err, _outputs(argv) if code == 0 else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CUTOFF_COMMANDS), _cutoff_flags, _cutoff_config)
+def test_cutoff_source_rule(cutoff_argv, command, flags, config):
+    code, source, cutoff = _cutoff_model(command, flags, config)
+    got_code, out, err, outputs = _run_cutoff(cutoff_argv[command], flags, config)
+    assert got_code == code, err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("alias-scope: error:") and err.count("\n") == 1
+    elif command in ("score", "analyze"):
+        report = json.loads(out)["config"]
+        assert (report["cutoff_source"], report["cutoff"]) == (source, cutoff)
+    else:  # the arrays of the same command given the cutoff itself
+        reference = _run_cutoff(cutoff_argv[command], {"--cutoff": repr(cutoff)}, {})
+        assert reference[0] == 0 and outputs == reference[3]
+
+
+@pytest.mark.parametrize("command, flags, config, code, message", [
+    pytest.param("freqmix", {"--stride": 4, "--in-h": 64, "--in-w": 64, "--out-h": 16,
+                             "--out-w": 16}, {}, 2, "missing --kernel (or --kernel-h/--kernel-w)",
+                 id="freqmix-sizes-without-kernel"),
+    pytest.param("score", {"--cutoff": 0.25, "--stride": 2, "--in-h": 8}, {}, 2,
+                 "specify exactly one cutoff source: --cutoff, ESR flags, or --flc-stride",
+                 id="cutoff-beside-stride-and-in-h"),
+    pytest.param("score", {}, {"value": 0.25, "flc_stride": 4}, 2,
+                 "config sets both cutoff.value and cutoff.flc_stride: keep one",
+                 id="config-sets-both-keys"),
+    pytest.param("score", {"--flc-stride": 4}, {"value": 0.25}, 0, None,
+                 id="flc-stride-flag-beats-config-value"),
+    pytest.param("score", {"--stride": 2}, {}, 2, "missing --kernel (or --kernel-h/--kernel-w)",
+                 id="stride-alone"),
+])
+def test_cutoff_source_named_cases(cutoff_argv, command, flags, config, code, message):
+    assert _cutoff_model(command, flags, config)[0] == code
+    got_code, out, err, _ = _run_cutoff(cutoff_argv[command], flags, config)
+    if code == 2:
+        assert (got_code, out, err) == (2, "", f"alias-scope: error: {message}\n")
+    else:
+        assert got_code == 0, err
+        report = json.loads(out)["config"]
+        assert (report["cutoff_source"], report["cutoff"]) == ("flc", 0.125)
