@@ -22,7 +22,6 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -406,27 +405,12 @@ def cmd_metrics(args) -> None:
     mean_iou = miou(pred, gt, n_classes, gt_classes_only=not args.all_classes)
     d = _band_width_for(config["band_width"], gt.data.shape)
     errors = multiclass_errors(class_band_pairs(pred, gt, d, classes))
-    per_class = {
-        str(c): {
-            **asdict(rates),
-            "derr_perfect_baseline": errors.per_class_baseline[c],
-            "biou": errors.per_class_iou[c],
-            "bacc": errors.per_class_acc[c],
-        }
-        for c, rates in errors.per_class.items()
-    }
     result = {
         "miou": mean_iou,
         "band_width": d,
         "n_classes": n_classes,
-        "per_class": per_class,
-        "mean": {
-            "ferr": errors.ferr,
-            "merr": errors.merr,
-            "derr": errors.derr,
-            "biou": errors.biou,
-            "bacc": errors.bacc,
-        },
+        "per_class": {str(c): counts.ratios() for c, counts in errors.counts.items()},
+        "mean": errors.means(),
     }
     _write(args, _report_json(config, {"pred": args.pred, "gt": args.gt}, result))
 

@@ -13,22 +13,23 @@ class averages skip undefined entries.  Note derr is not 0 even for a
 perfect prediction (its numerator only counts band pixels inside both
 masks), so reports pair it with derr at P = G, 1 - |G_d & G| / |G_d|.
 
-Bands are built once per class, by `band_pair`; the rates, error tags,
-BIoU, BAcc and baseline are all methods of the `BandPair` it returns.
-`class_band_pairs` builds the pairs one class at a time as they are asked
-for, from labels packed by `pack_class`, so a command holds one pair.
-A band is the contour dilated by the radius-d disk of integer offsets,
-built from shifted ORs on bit-packed rows (`boundary_band`); no distance
-transform is computed.  `pack_rows` fixes the one packed layout, 64
-pixels per little-endian uint64 word; bands stay in it up to the counts,
-and no other module reads or writes it: `BandUnion` and `error_type_masks`
-hand out a `PackedMask`, which unpacks a block of rows at a time.
+Bands are built once per class, by `band_pair`.  The `BandPair` it returns
+gives the error tags and seven pixel counts, `BandCounts`, and every rate,
+BIoU, BAcc and baseline is a ratio of two of them, taken in one place,
+`BandCounts.ratios`.  `class_band_pairs` builds the pairs one class at a time
+as they are asked for, from labels packed by `pack_class`, so a command holds
+one pair.  A band is the contour dilated by the radius-d disk of integer
+offsets, built from shifted ORs on bit-packed rows (`boundary_band`); no
+distance transform is computed.  `pack_rows` fixes the one packed layout, 64
+pixels per little-endian uint64 word; bands stay in it up to the counts, and
+no other module reads or writes it: `BandUnion` and `error_type_masks` hand
+out a `PackedMask`, which unpacks a block of rows at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -205,6 +206,31 @@ def _count(packed: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
+class BandCounts:
+    """One class's band pixel counts, the terms of every band ratio."""
+
+    pd: int  # |P_d|
+    gd: int  # |G_d|
+    both: int  # |P_d & G_d|
+    agree: int  # |(P_d & P) & (G_d & G)|
+    gd_in: int  # |G_d & G|
+    union: int  # |(P_d & P) | (G_d & G)|
+    acc: int  # |G_d & ~(P ^ G)|
+
+    def ratios(self) -> dict[str, float | None]:
+        """Every band ratio by its report key; None when its denominator is 0."""
+        pd, gd, both = self.pd, self.gd, self.both
+        return {
+            "ferr": (pd - both) / pd if pd else None,
+            "merr": (gd - both) / gd if gd else None,
+            "derr": 1.0 - self.agree / both if both else None,
+            "derr_perfect_baseline": 1.0 - self.gd_in / gd if gd else None,
+            "biou": self.agree / self.union if self.union else None,
+            "bacc": self.acc / gd if gd else None,
+        }
+
+
+@dataclass(frozen=True)
 class BandPair:
     """One class's P, G, P_d and G_d as `pack_rows` words.  Row padding
     bits are 0 in every field, and each expression below ands with a
@@ -224,14 +250,13 @@ class BandPair:
         both = self.p_d & self.g_d
         return self.p_d & ~self.g_d, self.g_d & ~self.p_d, both & ~(self.p & self.g)
 
-    def rates(self) -> BoundaryErrorRates:
-        false_response, merging, displacement = map(_count, self.error_sets())
-        n_pd, n_gd = _count(self.p_d), _count(self.g_d)
-        n_both = n_pd - false_response
-        ferr = false_response / n_pd if n_pd else None
-        merr = merging / n_gd if n_gd else None
-        derr = 1.0 - (n_both - displacement) / n_both if n_both else None
-        return BoundaryErrorRates(ferr, merr, derr)
+    def counts(self) -> BandCounts:
+        inner_p, inner_g = self.p_d & self.p, self.g_d & self.g
+        return BandCounts(
+            pd=_count(self.p_d), gd=_count(self.g_d), both=_count(self.p_d & self.g_d),
+            agree=_count(inner_p & inner_g), gd_in=_count(inner_g),
+            union=_count(inner_p | inner_g), acc=_count(self.g_d & ~(self.p ^ self.g)),
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -242,21 +267,6 @@ class BandPair:
         for tag, pixels in zip(TAG_NAMES, self.error_sets()):
             tags[unpack_rows(pixels, self.width)] = tag
         return tags
-
-    def derr_baseline(self) -> float | None:
-        """derr of a perfect prediction of this gt: 1 - |G_d & G| / |G_d|."""
-        return replace(self, p=self.g, p_d=self.g_d).rates().derr
-
-    def iou(self) -> float | None:
-        """IoU of the band-restricted masks: inner(P) vs inner(G)."""
-        inner_p, inner_g = self.p_d & self.p, self.g_d & self.g
-        union = _count(inner_p | inner_g)
-        return _count(inner_p & inner_g) / union if union else None
-
-    def acc(self) -> float | None:
-        """Fraction of gt band pixels where the prediction agrees with gt."""
-        n = _count(self.g_d)
-        return _count(self.g_d & ~(self.p ^ self.g)) / n if n else None
 
 
 def band_pair(pred: BinaryMask | PackedMask, gt: BinaryMask | PackedMask, d: int) -> BandPair:
@@ -345,7 +355,8 @@ def error_type_masks(
 
 def error_metrics(pred: BinaryMask, gt: BinaryMask, d: int) -> BoundaryErrorRates:
     """Single-class boundary error rates; undefined rates come back as None."""
-    return band_pair(pred, gt, d).rates()
+    r = band_pair(pred, gt, d).counts().ratios()
+    return BoundaryErrorRates(r["ferr"], r["merr"], r["derr"])
 
 
 def classify_boundary_pixels(pred: BinaryMask, gt: BinaryMask, d: int) -> np.ndarray:
@@ -354,49 +365,34 @@ def classify_boundary_pixels(pred: BinaryMask, gt: BinaryMask, d: int) -> np.nda
 
 
 def boundary_iou(pred_c: BinaryMask, gt_c: BinaryMask, d: int) -> float | None:
-    return band_pair(pred_c, gt_c, d).iou()
+    return band_pair(pred_c, gt_c, d).counts().ratios()["biou"]
 
 
 def boundary_acc(pred_c: BinaryMask, gt_c: BinaryMask, d: int) -> float | None:
-    return band_pair(pred_c, gt_c, d).acc()
-
-
-def _mean_defined(values: list[float | None]) -> float | None:
-    defined = [v for v in values if v is not None]
-    return sum(defined) / len(defined) if defined else None
+    return band_pair(pred_c, gt_c, d).counts().ratios()["bacc"]
 
 
 @dataclass(frozen=True)
 class ErrorBreakdown:
-    """Per-class boundary error rates, derr baseline (`BandPair.derr_baseline`),
-    BIoU and BAcc, and the means over defined entries."""
+    """Per-class `BandCounts`, in class order."""
 
-    per_class: dict[int, BoundaryErrorRates]
-    per_class_baseline: dict[int, float | None]
-    per_class_iou: dict[int, float | None]
-    per_class_acc: dict[int, float | None]
-    ferr: float | None
-    merr: float | None
-    derr: float | None
-    biou: float | None
-    bacc: float | None
+    counts: dict[int, BandCounts]
+
+    def means(self) -> dict[str, float | None]:
+        """Each ratio but the baseline averaged in class order over the
+        classes where it is defined; None when it is defined for none."""
+        per_class = [n.ratios() for n in self.counts.values()]
+        means = {}
+        for name in ("ferr", "merr", "derr", "biou", "bacc"):
+            defined = [r[name] for r in per_class if r[name] is not None]
+            means[name] = sum(defined) / len(defined) if defined else None
+        return means
 
 
 def multiclass_errors(pairs: Iterable[tuple[int, BandPair]]) -> ErrorBreakdown:
-    """Every per-class band metric, from one pass over `class_band_pairs`,
+    """Every per-class band count, from one pass over `class_band_pairs`,
     so one class's pair is held at a time."""
-    per_class, baseline, per_iou, per_acc = {}, {}, {}, {}
-    for c, pair in pairs:
-        per_class[c] = pair.rates()
-        baseline[c] = pair.derr_baseline()
-        per_iou[c] = pair.iou()
-        per_acc[c] = pair.acc()
-    rates = [
-        _mean_defined([getattr(r, name) for r in per_class.values()])
-        for name in ("ferr", "merr", "derr")
-    ]
-    scores = [_mean_defined(list(s.values())) for s in (per_iou, per_acc)]
-    return ErrorBreakdown(per_class, baseline, per_iou, per_acc, *rates, *scores)
+    return ErrorBreakdown({c: pair.counts() for c, pair in pairs})
 
 
 def _valid_label_counts(
@@ -404,10 +400,10 @@ def _valid_label_counts(
 ) -> np.ndarray:
     """Per-label counts over the pixels that neither mask ignores: rows are
     where gt and pred agree, gt, and pred.  Taken in blocks of rows of
-    about `block` pixels, so no full-size mask, copy or intp cast is made;
-    the counts are integers and do not depend on the blocks."""
+    about `block` bytes of the wider labels, so no full-size mask, copy or
+    intp cast is made; counts are integers, the same for any blocks."""
     counts = np.zeros((3, size), dtype=np.intp)
-    for rows in row_blocks(gt.data.shape, block):
+    for rows in row_blocks(gt.data.shape, block // max(gt.data.itemsize, pred.data.itemsize)):
         g, p = gt.data[rows], pred.data[rows]
         valid = np.ones(g.shape, dtype=bool)
         if gt.ignore_value is not None:
@@ -457,4 +453,7 @@ class BoundaryScores:
 def multiclass_boundary(pairs: Iterable[tuple[int, BandPair]]) -> BoundaryScores:
     """The BIoU and BAcc half of `multiclass_errors`."""
     errors = multiclass_errors(pairs)
-    return BoundaryScores(errors.per_class_iou, errors.per_class_acc, errors.biou, errors.bacc)
+    per_class = {c: n.ratios() for c, n in errors.counts.items()}
+    biou, bacc = ({c: r[name] for c, r in per_class.items()} for name in ("biou", "bacc"))
+    means = errors.means()
+    return BoundaryScores(biou, bacc, means["biou"], means["bacc"])

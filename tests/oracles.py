@@ -73,6 +73,26 @@ def tag_counts(pred: np.ndarray, gt: np.ndarray, d: int):
     return len(false_response), len(merging), len(displacement)
 
 
+def band_counts(pred: np.ndarray, gt: np.ndarray, d: int):
+    """(|P_d|, |G_d|, |P_d & G_d|, |P_d & P & G_d & G|, |G_d & G|,
+    |(P_d & P) | (G_d & G)|, |G_d & ~(P ^ G)|) by literal set enumeration."""
+    set_pd = set(zip(*np.nonzero(band_pixels(pred, d))))
+    set_gd = set(zip(*np.nonzero(band_pixels(gt, d))))
+    set_p = set(zip(*np.nonzero(pred)))
+    set_g = set(zip(*np.nonzero(gt)))
+    inner_p, inner_g = set_pd & set_p, set_gd & set_g
+    agree = {(y, x) for y, x in set_gd if pred[y, x] == gt[y, x]}
+    return (
+        len(set_pd),
+        len(set_gd),
+        len(set_pd & set_gd),
+        len(inner_p & inner_g),
+        len(inner_g),
+        len(inner_p | inner_g),
+        len(agree),
+    )
+
+
 def boundary_iou_value(pred: np.ndarray, gt: np.ndarray, d: int):
     p_d = band_pixels(pred, d)
     g_d = band_pixels(gt, d)

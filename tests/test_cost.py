@@ -113,7 +113,7 @@ def cases(p):
                       "--map-out", out / "map.npy"], 1.65 * GRID**2 * 8),
         "orth": (["orth", p["bank"]], 3.3 * np.prod(BANK) * 8),
         "metrics": (["metrics", p["pred4"], p["gt4"]], 1.05 * MIB),
-        "metrics <i4": (["metrics", p["pred4i4"], p["gt4i4"]], 2.45 * MIB),
+        "metrics <i4": (["metrics", p["pred4i4"], p["gt4i4"]], 1.45 * MIB),
         "analyze --score": (["analyze", *mask], 1.3 * MIB),
         "analyze --score --probs": (["analyze", *mask, "--probs", p["probs4"]], 2.5 * MIB),
     }

@@ -1,4 +1,5 @@
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -331,9 +332,9 @@ def test_multiclass_perfect():
     labels = np.array([[0, 0, 1], [0, 2, 1], [2, 2, 1]], dtype=np.uint8)
     gt = LabelMask(labels)
     breakdown = multiclass_errors(class_band_pairs(gt, gt, d=1))
-    assert breakdown.ferr == 0.0
-    assert breakdown.merr == 0.0
-    assert set(breakdown.per_class) == {0, 1, 2}
+    assert breakdown.means()["ferr"] == 0.0
+    assert breakdown.means()["merr"] == 0.0
+    assert set(breakdown.counts) == {0, 1, 2}
 
 
 def test_multiclass_skips_undefined():
@@ -342,8 +343,8 @@ def test_multiclass_skips_undefined():
     breakdown = multiclass_errors(class_band_pairs(pred, gt, d=1))
     # class 1 has an empty prediction band: its ferr is undefined and the
     # average only covers class 0
-    assert breakdown.per_class[1].ferr is None
-    assert breakdown.ferr == breakdown.per_class[0].ferr
+    assert breakdown.counts[1].ratios()["ferr"] is None
+    assert breakdown.means()["ferr"] == breakdown.counts[0].ratios()["ferr"]
 
 
 def test_multiclass_single_class_reduces():
@@ -355,7 +356,8 @@ def test_multiclass_single_class_reduces():
     single = error_metrics(
         bm(pred.data == 1), bm(gt.data == 1), d=1
     )
-    assert breakdown.per_class[1] == single
+    ratios = breakdown.counts[1].ratios()
+    assert (ratios["ferr"], ratios["merr"], ratios["derr"]) == astuple(single)
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,11 +378,11 @@ def test_class_band_pairs_match_single_class_and_oracles(h, w, n_classes, d, see
     assert set(pairs) == set(np.unique(pred.data)) | set(np.unique(gt.data))
     for c, pair in pairs.items():
         p, g = pred.data == c, gt.data == c
-        rates = pair.rates()
-        assert rates == errors.per_class[c] == error_metrics(bm(p), bm(g), d)
-        assert (rates.ferr, rates.merr, rates.derr) == oracles.boundary_error_rates(
-            p, g, d
-        )
+        assert pair.counts() == errors.counts[c]
+        ratios = pair.counts().ratios()
+        rates = (ratios["ferr"], ratios["merr"], ratios["derr"])
+        assert rates == astuple(error_metrics(bm(p), bm(g), d))
+        assert rates == oracles.boundary_error_rates(p, g, d)
         tags = pair.tags()
         assert np.array_equal(tags, classify_boundary_pixels(bm(p), bm(g), d))
         counts = tuple(int((tags == t).sum()) for t in (1, 2, 3))
@@ -394,8 +396,35 @@ def test_class_band_pairs_match_single_class_and_oracles(h, w, n_classes, d, see
             p, g, d
         )
         baseline = oracles.boundary_error_rates(g, g, d)[2]
-        assert pair.derr_baseline() == error_metrics(bm(g), bm(g), d).derr == baseline
-        assert errors.per_class_baseline[c] == baseline
+        assert ratios["derr_perfect_baseline"] == error_metrics(bm(g), bm(g), d).derr == baseline
+        assert errors.counts[c].ratios()["derr_perfect_baseline"] == baseline
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 11),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_band_counts_match_oracle(h, w, n_classes, d, seed):
+    # every band ratio is taken from these seven counts, so they are gated
+    # exactly, and each ratio against the oracle that computes it directly
+    rng = np.random.default_rng(seed)
+    pred = LabelMask(rng.integers(0, n_classes, (h, w)).astype(np.uint8))
+    gt = LabelMask(rng.integers(0, n_classes, (h, w)).astype(np.uint8))
+    for c, pair in class_band_pairs(pred, gt, d):
+        p, g = pred.data == c, gt.data == c
+        counts = pair.counts()
+        assert astuple(counts) == oracles.band_counts(p, g, d)
+        ratios = counts.ratios()
+        assert (ratios["ferr"], ratios["merr"], ratios["derr"]) == oracles.boundary_error_rates(
+            p, g, d
+        )
+        assert ratios["derr_perfect_baseline"] == oracles.boundary_error_rates(g, g, d)[2]
+        assert ratios["biou"] == oracles.boundary_iou_value(p, g, d)
+        assert ratios["bacc"] == oracles.boundary_acc_value(p, g, d)
 
 
 def test_class_band_pairs_builds_each_pair_when_asked(monkeypatch):
@@ -416,8 +445,9 @@ def test_class_band_pairs_builds_each_pair_when_asked(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
 def test_blocked_bincount_matches_bincount(block):
-    # miou's counts in blocks of rows (1, 1, 2 and all 40 rows of 25
-    # pixels) against whole-image bincounts over the pixels neither mask ignores
+    # miou's counts in blocks of rows (1, 1, 2 and all 40 rows of 25 pixels;
+    # blocks are sized in bytes, so <i4 takes 1, 1, 1 and 40 rows) against
+    # whole-image bincounts over the pixels neither mask ignores
     rng = np.random.default_rng(block)
     gt, pred = rng.integers(0, 7, (2, 40, 25)).astype(np.uint8)
     gt[rng.random(gt.shape) < 0.2] = 255
@@ -425,8 +455,9 @@ def test_blocked_bincount_matches_bincount(block):
     valid = (gt != 255) & (pred != 255)
     g, p = gt[valid], pred[valid]
     want = [np.bincount(x, minlength=9) for x in (g[g == p], g, p)]
-    got = segmetrics._valid_label_counts(LabelMask(pred), LabelMask(gt), 9, block)
-    assert np.array_equal(got, want)
+    for dtype in ("|u1", "<i4"):
+        masks = LabelMask(pred.astype(dtype)), LabelMask(gt.astype(dtype))
+        assert np.array_equal(segmetrics._valid_label_counts(*masks, 9, block), want)
 
 
 # --- defaults
