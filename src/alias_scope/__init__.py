@@ -20,7 +20,6 @@ from .arrays import (
     class_mask,
     load_array,
     read_npy,
-    save_array,
     write_npy,
 )
 from .analysis import (

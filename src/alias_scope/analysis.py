@@ -188,7 +188,6 @@ class BinnedCurve:
     counts: np.ndarray
     means: np.ndarray  # NaN where empty
     type_counts: dict[str, np.ndarray] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_bins(self) -> int:
@@ -247,7 +246,7 @@ def bin_by_score(
         np.add.at(sums, idx, vals[select])
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    return BinnedCurve(edges, counts, means, meta=dict(score.metadata()))
+    return BinnedCurve(edges, counts, means)
 
 
 def _count_by_bin(
@@ -274,7 +273,6 @@ def _count_by_bin(
 def error_type_distribution(
     pairs: Iterable[tuple[int, BandPair]],
     score: ScoreMap,
-    d: int,
     n_bins: int = 20,
 ) -> BinnedCurve:
     """Histogram of boundary error types per score bin.
@@ -287,7 +285,4 @@ def error_type_distribution(
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     type_counts = _count_by_bin(score, error_type_masks(pairs, score.shape), n_bins)
     counts = sum(type_counts.values())
-    means = np.full(n_bins, np.nan)
-    meta = dict(score.metadata())
-    meta["band_width"] = d
-    return BinnedCurve(edges, counts, means, type_counts, meta)
+    return BinnedCurve(edges, counts, np.full(n_bins, np.nan), type_counts)

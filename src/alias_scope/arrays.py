@@ -4,6 +4,12 @@ Features are (C, H, W) float grids, label masks are (H, W) integer grids,
 and binary masks are (H, W) booleans.  Files use the NPY v1.0 container,
 little-endian, C order, restricted to the dtypes '<f4', '<f8', '|u1',
 '<i4', '<u2'.  All values are immutable after construction.
+
+Every read goes through one NpyFile, which checks the header and payload
+size on opening and reads runs of the payload: read_npy reads it whole,
+FeatureFile reads a feature tensor whole or a band of rows at a time, and
+ScoreFile reads a score map in blocks.  load_array and FeatureFile share
+one set of type rules.  write_npy is the only writer.
 """
 
 from __future__ import annotations
@@ -39,58 +45,70 @@ INT_DTYPES = (np.dtype("|u1"), np.dtype("<i4"), np.dtype("<u2"))
 DEFAULT_IGNORE_VALUE = 255
 
 
-def _npy_header(fh, path) -> tuple[np.dtype, tuple[int, ...]]:
-    """Check an NPY v1.0 header and its payload size, leaving `fh` at the
-    payload; return the payload's dtype and shape."""
-    prefix = fh.read(10)
-    if len(prefix) < 10 or prefix[:6] != NPY_MAGIC:
-        raise FormatError(f"{path}: not an NPY file (bad magic)")
-    major, minor = prefix[6], prefix[7]
-    if (major, minor) != (1, 0):
-        raise FormatError(f"{path}: unsupported NPY version {major}.{minor}")
-    header_len = int.from_bytes(prefix[8:10], "little")
-    header_bytes = fh.read(header_len)
-    if len(header_bytes) < header_len:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = ast.literal_eval(header_bytes.decode("ascii").strip())
-    except (UnicodeDecodeError, ValueError, SyntaxError) as exc:
-        raise FormatError(f"{path}: unparseable header") from exc
-    keys = {"descr", "fortran_order", "shape"}
-    if not isinstance(header, dict) or set(header) != keys:
-        raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
-    descr = header["descr"]
-    if not isinstance(descr, str) or descr not in _DESCR_TO_DTYPE:
-        raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
-    if header["fortran_order"] is not False:
-        raise FormatError(f"{path}: fortran_order must be False")
-    shape = header["shape"]
-    if not (
-        isinstance(shape, tuple)
-        and all(type(n) is int and n >= 0 for n in shape)
-    ):
-        raise FormatError(f"{path}: bad shape {shape!r}")
-    dtype = _DESCR_TO_DTYPE[descr]
-    count = math.prod(shape)  # Python ints: no overflow, () gives 1
-    expected = count * dtype.itemsize
-    payload = os.fstat(fh.fileno()).st_size - fh.tell()
-    if payload != expected:
-        raise FormatError(
-            f"{path}: payload is {payload} bytes, expected {expected}"
-        )
-    if count == 0:  # a payload that fits the file fits numpy; an empty one may not
+class NpyFile:
+    """An NPY v1.0 file whose header and payload size are checked once, on
+    opening, and whose payload is read later by `read`, whole or in runs."""
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            prefix = fh.read(10)
+            if len(prefix) < 10 or prefix[:6] != NPY_MAGIC:
+                raise FormatError(f"{path}: not an NPY file (bad magic)")
+            major, minor = prefix[6], prefix[7]
+            if (major, minor) != (1, 0):
+                raise FormatError(f"{path}: unsupported NPY version {major}.{minor}")
+            header_len = int.from_bytes(prefix[8:10], "little")
+            header_bytes = fh.read(header_len)
+            if len(header_bytes) < header_len:
+                raise FormatError(f"{path}: truncated header")
+            self._offset = fh.tell()
+            payload = os.fstat(fh.fileno()).st_size - self._offset
         try:
-            np.empty(0, dtype=dtype).reshape(shape)
-        except ValueError as exc:
-            raise FormatError(f"{path}: shape {shape!r} is too large") from exc
-    return dtype, shape
+            header = ast.literal_eval(header_bytes.decode("ascii").strip())
+        except (UnicodeDecodeError, ValueError, SyntaxError) as exc:
+            raise FormatError(f"{path}: unparseable header") from exc
+        keys = {"descr", "fortran_order", "shape"}
+        if not isinstance(header, dict) or set(header) != keys:
+            raise FormatError(f"{path}: header keys must be descr/fortran_order/shape")
+        descr = header["descr"]
+        if not isinstance(descr, str) or descr not in _DESCR_TO_DTYPE:
+            raise UnsupportedDtypeError(f"{path}: unsupported dtype {descr!r}")
+        if header["fortran_order"] is not False:
+            raise FormatError(f"{path}: fortran_order must be False")
+        shape = header["shape"]
+        if not (
+            isinstance(shape, tuple)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise FormatError(f"{path}: bad shape {shape!r}")
+        dtype = _DESCR_TO_DTYPE[descr]
+        count = math.prod(shape)  # Python ints: no overflow, () gives 1
+        expected = count * dtype.itemsize
+        if payload != expected:
+            raise FormatError(
+                f"{path}: payload is {payload} bytes, expected {expected}"
+            )
+        if count == 0:  # a payload that fits the file fits numpy; an empty one may not
+            try:
+                np.empty(0, dtype=dtype).reshape(shape)
+            except ValueError as exc:
+                raise FormatError(f"{path}: shape {shape!r} is too large") from exc
+        self.path, self.dtype, self.shape = path, dtype, shape
+
+    def read(self, fh, out: np.ndarray, at: int) -> np.ndarray:
+        """Fill `out`, of this file's dtype, with the payload's elements from
+        index `at` on, read from `fh`, this file opened for reading."""
+        fh.seek(self._offset + at * self.dtype.itemsize)
+        if fh.readinto(out) != out.nbytes:
+            raise FormatError(f"{self.path}: payload shorter than its header")
+        return out
 
 
 def read_npy(path) -> np.ndarray:
     """Read an NPY v1.0 file into a C-ordered array of a supported dtype."""
+    npy = NpyFile(path)
     with open(path, "rb") as fh:
-        dtype, shape = _npy_header(fh, path)
-        return np.fromfile(fh, dtype=dtype, count=math.prod(shape)).reshape(shape)
+        return npy.read(fh, np.empty(npy.shape, npy.dtype), 0)
 
 
 def write_npy(path, arr: np.ndarray) -> None:
@@ -258,68 +276,67 @@ class BinaryMask:
         return int(self.bits.sum())
 
 
+def _array_kind(path, dtype: np.dtype, shape: tuple[int, ...]) -> tuple[type, tuple[int, ...]]:
+    """load_array's type rules: the class an array of this dtype and shape
+    becomes, and the shape it is made with.  A 2D integer array is a
+    LabelMask; a 2D float array is a one-channel FeatureTensor and a 3D
+    one a (C, H, W) FeatureTensor.  Anything else is rejected."""
+    if len(shape) not in (2, 3):
+        raise ValidationError(f"{path}: expected 2D or 3D array, got {len(shape)}D")
+    if dtype in FLOAT_DTYPES:
+        return FeatureTensor, (1, *shape)[-3:]
+    if len(shape) == 3:
+        raise UnsupportedDtypeError(f"{path}: 3D integer arrays have no interpretation here")
+    return LabelMask, shape
+
+
 def load_array(path, ignore_value: int | None = DEFAULT_IGNORE_VALUE):
-    """Load an NPY file as a FeatureTensor or LabelMask.
-
-    2D integer arrays become LabelMask, 2D float arrays become a
-    single-channel FeatureTensor, 3D float arrays become (C, H, W)
-    FeatureTensors.  Anything else is rejected.
-    """
+    """Load an NPY file as a FeatureTensor or LabelMask, by `_array_kind`."""
     arr = read_npy(path)
-    if arr.ndim == 2:
-        if arr.dtype in INT_DTYPES:
-            return LabelMask(arr, ignore_value=ignore_value)
-        return FeatureTensor(arr[np.newaxis, :, :])
-    if arr.ndim == 3:
-        if arr.dtype in INT_DTYPES:
-            raise UnsupportedDtypeError(
-                f"{path}: 3D integer arrays have no interpretation here"
-            )
-        return FeatureTensor(arr)
-    raise ValidationError(f"{path}: expected 2D or 3D array, got {arr.ndim}D")
+    kind, shape = _array_kind(path, arr.dtype, arr.shape)
+    if kind is LabelMask:
+        return LabelMask(arr, ignore_value=ignore_value)
+    return FeatureTensor(arr.reshape(shape))
 
 
-class FeatureFile:
-    """A float feature tensor left in its NPY file and read a band of rows
-    at a time, so the whole tensor is never held.
+class FeatureFile(NpyFile):
+    """A float feature tensor left in its NPY file, read whole or a band of
+    rows at a time, so that the whole tensor need never be held.
 
-    Opening checks the header as read_npy does and applies load_array's
-    type rules without reading the payload: a 2D float array is one
-    channel, and any input that load_array would not make a FeatureTensor
-    fails as it does there.  Each band read goes through FeatureTensor's
-    checks, so a NaN/Inf fails with its message.
+    Opening checks the header and applies `_array_kind`'s type rules to it,
+    without reading the payload: a 2D float array is one channel, and a
+    label mask is rejected.  `shape` is the (C, H, W) shape.  Every read
+    goes through FeatureTensor's checks, so a NaN/Inf fails with its message.
     """
 
     def __init__(self, path):
-        with open(path, "rb") as fh:
-            dtype, shape = _npy_header(fh, path)
-            self._offset = fh.tell()
-        if dtype not in FLOAT_DTYPES or len(shape) not in (2, 3) or 0 in shape:
-            # load_array raises, or returns a label mask after its checks;
-            # a zero-size payload costs nothing to load
-            load_array(path)
+        super().__init__(path)
+        kind, shape = _array_kind(path, self.dtype, self.shape)
+        if 0 in shape:  # fails with its class's message, on no data
+            kind(np.empty(shape, self.dtype))
+        if kind is LabelMask:
             raise ValidationError(f"{path}: expected a float feature tensor")
-        shape = shape if len(shape) == 3 else (1, *shape)
-        self.path = path
-        self.dtype = dtype
+        self.shape = shape
         self.channels, self.height, self.width = shape
 
+    def tensor(self) -> FeatureTensor:
+        """The whole tensor, in one read."""
+        with open(self.path, "rb") as fh:
+            return FeatureTensor(self.read(fh, np.empty(self.shape, self.dtype), 0))
+
     def rows(self, y0: int, y1: int) -> np.ndarray:
-        """Rows y0 .. y1 - 1 of every channel, one seek and read per channel."""
+        """Rows y0 .. y1 - 1 of every channel, one read per channel."""
         band = np.empty((self.channels, y1 - y0, self.width), dtype=self.dtype)
-        row_bytes = self.width * self.dtype.itemsize
         with open(self.path, "rb") as fh:
             for c, plane in enumerate(band):
-                fh.seek(self._offset + (c * self.height + y0) * row_bytes)
-                if fh.readinto(plane) != plane.nbytes:
-                    raise FormatError(f"{self.path}: payload shorter than its header")
+                self.read(fh, plane, (c * self.height + y0) * self.width)
         return FeatureTensor(band).data  # checks the band is finite, no copy
 
 
 PAIRWISE_LEAF = 1 << 16  # values per read of `ScoreFile.mean`, at least 128
 
 
-class ScoreFile:
+class ScoreFile(NpyFile):
     """A 2D score map left in its NPY file and read as float64 a block of
     rows, or for its mean a leaf of values, at a time, so it is never
     whole.  Any supported dtype is read; the values must be finite and lie
@@ -327,16 +344,11 @@ class ScoreFile:
     """
 
     def __init__(self, path):
-        with open(path, "rb") as fh:
-            dtype, shape = _npy_header(fh, path)
-            self._offset = fh.tell()
-        if len(shape) != 2:
+        super().__init__(path)
+        if len(self.shape) != 2:
             raise ValidationError(f"{path}: score map must be 2D")
-        if 0 in shape:  # its mean would be NaN
-            raise ValidationError(f"{path}: score map dims must be positive: {shape}")
-        self.path = path
-        self.dtype = dtype
-        self.shape = shape
+        if 0 in self.shape:  # its mean would be NaN
+            raise ValidationError(f"{path}: score map dims must be positive: {self.shape}")
 
     def rows(self, y0: int, y1: int) -> np.ndarray:
         """Rows y0 .. y1 - 1 as one float64 array, read and checked to be
@@ -345,8 +357,10 @@ class ScoreFile:
         width = self.shape[1]
         out = np.empty((y1 - y0, width))
         with open(self.path, "rb") as fh:
-            fh.seek(self._offset + y0 * width * self.dtype.itemsize)
-            in_range = [self._read_into(fh, out[rows]) for rows in row_blocks(out.shape)]
+            in_range = [
+                self._read_into(fh, out[rows], (y0 + rows.start) * width)
+                for rows in row_blocks(out.shape)
+            ]
         if not all(in_range):
             raise ValidationError(f"{self.path}: score values must lie in [0, 1]")
         return out
@@ -358,49 +372,37 @@ class ScoreFile:
         count = math.prod(self.shape)
         leaf, in_range = np.empty(min(count, PAIRWISE_LEAF)), []
 
-        def leaf_sum(n: int) -> float:
-            in_range.append(self._read_into(fh, leaf[:n]))
+        def leaf_sum(at: int, n: int) -> float:
+            in_range.append(self._read_into(fh, leaf[:n], at))
             return np.add.reduce(leaf[:n])
 
         with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            total = _pairwise_sum(count, leaf_sum)
+            total = _pairwise_sum(0, count, leaf_sum)
         if not all(in_range):
             raise ValidationError(f"{self.path}: score values must lie in [0, 1]")
         return float(total / count)
 
-    def _read_into(self, fh, out: np.ndarray) -> bool:
-        """Fill float64 `out` from `fh`, through a buffer in the map's dtype
-        if it differs, checked to be finite; True if they lie in [0, 1]."""
+    def _read_into(self, fh, out: np.ndarray, at: int) -> bool:
+        """Fill float64 `out` from element `at` on, through a buffer in the
+        map's dtype if it differs, checked to be finite; True if they lie
+        in [0, 1]."""
         raw = out if self.dtype == out.dtype else np.empty(out.shape, self.dtype)
-        if fh.readinto(raw) != raw.nbytes:
-            raise FormatError(f"{self.path}: payload shorter than its header")
+        self.read(fh, raw, at)
         if not np.all(np.isfinite(raw)):
             raise ValidationError(f"{self.path}: score map contains NaN/Inf")
         out[...] = raw  # no copy when `raw` is `out`
         return 0.0 <= out.min() and out.max() <= 1.0
 
 
-def _pairwise_sum(n: int, leaf_sum) -> float:
-    """The next n values split as numpy's pairwise sum splits a float64
-    reduction until they fit a leaf, whose sum `leaf_sum(k)` takes; numpy
-    stops splitting at 128 values, so any leaf of 128 or more keeps its bits."""
+def _pairwise_sum(at: int, n: int, leaf_sum) -> float:
+    """The n values from index `at` on, split as numpy's pairwise sum
+    splits a float64 reduction until they fit a leaf, whose sum
+    `leaf_sum(at, k)` takes; numpy stops splitting at 128 values, so any
+    leaf of 128 or more keeps its bits."""
     if n <= PAIRWISE_LEAF:
-        return leaf_sum(n)
+        return leaf_sum(at, n)
     half = n // 2 - n // 2 % 8
-    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(n - half, leaf_sum)
-
-
-def save_array(obj, path) -> None:
-    """Save a FeatureTensor, LabelMask, or BinaryMask to NPY."""
-    if isinstance(obj, FeatureTensor):
-        write_npy(path, obj.data)
-    elif isinstance(obj, LabelMask):
-        write_npy(path, obj.data)
-    elif isinstance(obj, BinaryMask):
-        write_npy(path, obj.bits.astype(np.uint8))
-    else:
-        write_npy(path, np.asarray(obj))
+    return _pairwise_sum(at, half, leaf_sum) + _pairwise_sum(at + half, n - half, leaf_sum)
 
 
 def class_mask(mask: LabelMask, class_id: int) -> BinaryMask:

@@ -48,12 +48,10 @@ from .antialias import (
 )
 from .arrays import (
     FeatureFile,
-    FeatureTensor,
     LabelMask,
     ScoreFile,
     load_array,
     read_npy,
-    save_array,
     write_npy,
 )
 from .errors import InputError, InternalError
@@ -275,13 +273,6 @@ def _curves_csv(curves: dict[str, list[dict]]) -> str:
     return buf.getvalue()
 
 
-def _load_feature(path) -> FeatureTensor:
-    obj = load_array(path)
-    if not isinstance(obj, FeatureTensor):
-        raise InputError(f"{path}: expected a float feature tensor")
-    return obj
-
-
 def _load_mask(path, ignore_value) -> LabelMask:
     obj = load_array(path, ignore_value=ignore_value)
     if not isinstance(obj, LabelMask):
@@ -330,7 +321,7 @@ def cmd_score(args) -> None:
     source, cutoff = _resolve_cutoff(args)
     config = {**_settings(args, "score_mode", "out_format"),
               "cutoff_source": source, "cutoff": cutoff}
-    f = _load_feature(args.input)
+    f = FeatureFile(args.input).tensor()
     high, total = band_power(fft2(f), CutoffSpec(cutoff))
     result = {
         "aliasing_score": score_from_power(high, total, config["score_mode"]),
@@ -352,34 +343,33 @@ def _require_out(args) -> str:
 
 def cmd_daf(args) -> None:
     _, cutoff = _resolve_cutoff(args)
-    f = _load_feature(args.input)
-    save_array(daf(f, CutoffSpec(cutoff)), _require_out(args))
+    out = daf(FeatureFile(args.input).tensor(), CutoffSpec(cutoff))
+    write_npy(_require_out(args), out.data)
 
 
 def cmd_split(args) -> None:
     if Path(args.out_low).resolve() == Path(args.out_high).resolve():
         raise InputError(f"--out-low and --out-high are the same file: {args.out_low}")
     _, cutoff = _resolve_cutoff(args)
-    f = _load_feature(args.input)
-    low, high = frequency_split(f, CutoffSpec(cutoff))
-    save_array(low, args.out_low)
-    save_array(high, args.out_high)
+    low, high = frequency_split(FeatureFile(args.input).tensor(), CutoffSpec(cutoff))
+    write_npy(args.out_low, low.data)
+    write_npy(args.out_high, high.data)
 
 
 def cmd_blur(args) -> None:
-    f = _load_feature(args.input)
-    save_array(binomial_blur(f, args.size), _require_out(args))
+    out = binomial_blur(FeatureFile(args.input).tensor(), args.size)
+    write_npy(_require_out(args), out.data)
 
 
 def cmd_noise(args) -> None:
     seed = _setting(args, "seed")
-    f = _load_feature(args.input)
-    save_array(add_gaussian_noise(f, args.sigma, seed), _require_out(args))
+    out = add_gaussian_noise(FeatureFile(args.input).tensor(), args.sigma, seed)
+    write_npy(_require_out(args), out.data)
 
 
 def cmd_freqmix(args) -> None:
     _, cutoff = _resolve_cutoff(args, default=0.25)
-    f = _load_feature(args.input)
+    f = FeatureFile(args.input).tensor()
     if (args.weights_dir is None) == (args.params_dir is None):
         raise InputError("give exactly one of --weights-dir or --params-dir")
     if args.weights_dir is not None:
@@ -387,7 +377,8 @@ def cmd_freqmix(args) -> None:
     else:
         params = FreqMixParams.from_npy_dir(args.params_dir)
         weights = freqmix_predict_weights(f, params)
-    save_array(freqmix_apply(f, CutoffSpec(cutoff), weights), _require_out(args))
+    out = freqmix_apply(f, CutoffSpec(cutoff), weights)
+    write_npy(_require_out(args), out.data)
 
 
 def cmd_metrics(args) -> None:
@@ -478,7 +469,7 @@ def cmd_analyze(args) -> None:
         pairs = class_band_pairs(pred, gt, d)
         if gt_bands is not None:
             pairs = gt_bands.add_gt_bands(pairs)
-        dist = error_type_distribution(pairs, score_map, d, bins)
+        dist = error_type_distribution(pairs, score_map, bins)
     elif gt_bands is not None:
         for c in gt.present_classes():
             gt_bands.add(boundary_band(pack_class(gt, c), d).words)

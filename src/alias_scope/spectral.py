@@ -43,18 +43,10 @@ def _high_band(height: int, width: int, cutoff: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FreqGrid:
-    """Signed-frequency axes for an (H, W) spectrum."""
+    """The signed-frequency grid of an (H, W) spectrum."""
 
     height: int
     width: int
-
-    @property
-    def freq_h(self) -> np.ndarray:
-        return signed_frequencies(self.height)
-
-    @property
-    def freq_w(self) -> np.ndarray:
-        return signed_frequencies(self.width)
 
     def high_band(self, cutoff: float) -> np.ndarray:
         """Boolean (H, W) mask of bins with |k| > cutoff or |l| > cutoff.

@@ -353,7 +353,7 @@ def shifted_square_masks():
 def test_distribution_perfect_prediction_only_displacement():
     _, gt = shifted_square_masks()
     score = uniform_score_map(np.full((8, 8), 0.4))
-    curve = error_type_distribution(class_band_pairs(gt, gt, 1), score, d=1, n_bins=4)
+    curve = error_type_distribution(class_band_pairs(gt, gt, 1), score, n_bins=4)
     assert curve.type_counts["false_response"].sum() == 0
     assert curve.type_counts["merging"].sum() == 0
     assert curve.type_counts["displacement"].sum() > 0
@@ -363,7 +363,7 @@ def test_distribution_empty_prediction_all_merging():
     _, gt = shifted_square_masks()
     pred = LabelMask(np.zeros((8, 8), dtype=np.uint8), ignore_value=None)
     score = uniform_score_map(np.full((8, 8), 0.1))
-    curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=4)
+    curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, n_bins=4)
     # class 0 covers everything in pred, so only the class-1 bands count
     g_d = boundary_band(BinaryMask(gt.data == 1), 1).band.count()
     assert curve.type_counts["merging"].sum() + curve.type_counts[
@@ -377,7 +377,7 @@ def test_distribution_two_tone_score_counts_match_oracle():
     values = np.zeros((8, 8))
     values[:, 4:] = 0.9  # right half in the high bin
     score = uniform_score_map(values)
-    curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=2)
+    curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, n_bins=2)
     # oracle: merge per-class tags, lowest class id wins
     merged = np.zeros((8, 8), dtype=int)
     for c in (0, 1):
@@ -412,7 +412,7 @@ def test_distribution_matches_per_pixel_merge(h, w, n_classes, d, n_bins, seed):
     pred = LabelMask(rng.choice(labels, (h, w)).astype(np.uint8))
     values = rng.uniform(0.0, 1.0, (h, w))
     curve = error_type_distribution(
-        class_band_pairs(pred, gt, d), uniform_score_map(values), d=d, n_bins=n_bins
+        class_band_pairs(pred, gt, d), uniform_score_map(values), n_bins=n_bins
     )
     merged = np.zeros((h, w), dtype=int)  # lowest class id claims a pixel first
     for c in range(n_classes):
@@ -514,7 +514,7 @@ def test_row_block_analyze_matches_whole_array_formulas(
     sums = np.bincount(idx, weights=ce[select], minlength=n_bins)
     means = np.where(curve.counts > 0, sums / np.maximum(curve.counts, 1), np.nan)
     assert np.array_equal(curve.means, means, equal_nan=True)
-    dist = error_type_distribution(class_band_pairs(pred_mask, gt_mask, d), score_map, d, n_bins)
+    dist = error_type_distribution(class_band_pairs(pred_mask, gt_mask, d), score_map, n_bins)
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -538,7 +538,7 @@ def test_row_block_analyze_matches_whole_array_formulas(
 def test_distribution_conservation():
     pred, gt = shifted_square_masks()
     score = uniform_score_map(np.random.default_rng(3).uniform(0, 1, (8, 8)))
-    curve = error_type_distribution(class_band_pairs(pred, gt, 2), score, d=2, n_bins=5)
+    curve = error_type_distribution(class_band_pairs(pred, gt, 2), score, n_bins=5)
     total_tagged = sum(c.sum() for c in curve.type_counts.values())
     assert curve.counts.sum() == total_tagged
 
@@ -546,15 +546,15 @@ def test_distribution_conservation():
 def test_distribution_deterministic():
     pred, gt = shifted_square_masks()
     score = uniform_score_map(np.random.default_rng(4).uniform(0, 1, (8, 8)))
-    a = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=6)
-    b = error_type_distribution(class_band_pairs(pred, gt, 1), score, d=1, n_bins=6)
+    a = error_type_distribution(class_band_pairs(pred, gt, 1), score, n_bins=6)
+    b = error_type_distribution(class_band_pairs(pred, gt, 1), score, n_bins=6)
     assert json.dumps(a.rows()) == json.dumps(b.rows())
 
 
 def test_distribution_fully_ignored_masks_count_nothing():
     ignored = LabelMask(np.full((6, 6), 255, dtype=np.uint8))
     score = uniform_score_map(np.full((6, 6), 0.3))
-    curve = error_type_distribution(class_band_pairs(ignored, ignored, 1), score, d=1, n_bins=4)
+    curve = error_type_distribution(class_band_pairs(ignored, ignored, 1), score, n_bins=4)
     assert curve.counts.tolist() == [0, 0, 0, 0]
     assert all(c.tolist() == [0, 0, 0, 0] for c in curve.type_counts.values())
 

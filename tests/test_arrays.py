@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from alias_scope import arrays
 from alias_scope.arrays import (
     BinaryMask,
+    FeatureFile,
     FeatureTensor,
     LabelMask,
     ScoreFile,
     class_mask,
     load_array,
     read_npy,
-    save_array,
     write_npy,
 )
 from alias_scope.cli import main
@@ -156,7 +156,7 @@ def test_3d_int_rejected(tmp_path):
 def test_save_unwritable_path_raises(tmp_path):
     t = FeatureTensor(np.zeros((1, 2, 2)))
     with pytest.raises(OSError):
-        save_array(t, tmp_path / "no" / "such" / "dir" / "x.npy")
+        write_npy(tmp_path / "no" / "such" / "dir" / "x.npy", t.data)
 
 
 def test_class_mask_uniform():
@@ -359,13 +359,51 @@ def test_unsigned_labels_build_no_sign_mask(dtype):
 def test_binary_mask_round_trip(tmp_path):
     bits = np.array([[True, False], [False, True]])
     path = tmp_path / "b.npy"
-    save_array(BinaryMask(bits), path)
+    write_npy(path, BinaryMask(bits).bits.astype(np.uint8))
     back = load_array(path)
     assert isinstance(back, LabelMask)
     assert np.array_equal(back.data.astype(bool), bits)
 
 
+def test_label_file_as_features_is_rejected_from_its_header(tmp_path, capsys):
+    # the messages of a whole-file load, from the header alone: a 2D
+    # integer file is a label mask, a zero-size float file an empty tensor
+    path = tmp_path / "x.npy"
+    cases = [
+        (np.zeros((4, 4), dtype="|u1"), "expected a float feature tensor"),
+        (np.zeros((4, 4), dtype="<i4"), "expected a float feature tensor"),
+        (np.zeros((0, 4)), "feature tensor dims must be positive: (1, 0, 4)"),
+        (np.zeros((2, 0, 4), dtype="<f4"), "feature tensor dims must be positive: (2, 0, 4)"),
+    ]
+    for data, message in cases:
+        write_npy(path, data)
+        with pytest.raises(ValidationError) as info:
+            FeatureFile(path)
+        assert str(info.value).removeprefix(f"{path}: ") == message
+    # a large <i4 label file, with a negative label, is not read at all
+    labels = np.zeros((2048, 2048), dtype="<i4")
+    labels[-1, -1] = -1
+    write_npy(path, labels)
+    del labels
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="expected a float feature tensor"):
+            FeatureFile(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
+    out = tmp_path / "daf.npy"
+    for argv in (["analyze", "--features", str(path)], ["daf", str(path), "--out", str(out)]):
+        capsys.readouterr()
+        assert main([*argv, "--cutoff", "0.25"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"alias-scope: error: {path}: expected a float feature tensor\n")
+    assert not out.exists()
+
+
 # --- fuzz: any header dict reads, or raises FormatError/UnsupportedDtypeError
+# alike from every reader
 
 _DIMS = st.one_of(
     st.integers(-2, 4),
@@ -402,6 +440,39 @@ def _f8_header(descr="<f8", shape=(2, 2)):
     return {"descr": descr, "fortran_order": False, "shape": shape}
 
 
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except (FormatError, UnsupportedDtypeError, ValidationError) as exc:
+        return exc
+
+
+def _error(outcome):
+    return (type(outcome).__name__, str(outcome)) if isinstance(outcome, Exception) else None
+
+
+def _type_rule_errors(path, descr, shape):
+    """The (type, message) that FeatureFile and ScoreFile raise on a
+    well-formed header of this descr and shape, or None where they open."""
+    floats = descr[1] == "f"
+    if len(shape) not in (2, 3):
+        feature = ("ValidationError", f"{path}: expected 2D or 3D array, got {len(shape)}D")
+    elif not floats and len(shape) == 3:
+        feature = ("UnsupportedDtypeError", f"{path}: 3D integer arrays have no interpretation here")
+    elif 0 in shape and floats:
+        feature = ("ValidationError", f"feature tensor dims must be positive: {(1, *shape)[-3:]}")
+    elif 0 in shape:
+        feature = ("ValidationError", f"label mask dims must be positive: {shape}")
+    else:
+        feature = None if floats else ("ValidationError", f"{path}: expected a float feature tensor")
+    score = None
+    if len(shape) != 2:
+        score = ("ValidationError", f"{path}: score map must be 2D")
+    elif 0 in shape:
+        score = ("ValidationError", f"{path}: score map dims must be positive: {shape}")
+    return feature, score
+
+
 @settings(max_examples=200, deadline=None)
 @given(npy_header(), st.sampled_from(["empty", "short", "exact", "long"]), st.integers(0, 2**32 - 1))
 @example(_f8_header(descr=["<f8"]), "exact", 0)
@@ -410,6 +481,9 @@ def _f8_header(descr="<f8", shape=(2, 2)):
 @example(_f8_header(shape=(10**30, 4, 4)), "empty", 0)
 @example(_f8_header(shape=(4611686018427387904, 4, 4)), "empty", 0)
 @example(_f8_header(shape=(0, 2**63)), "exact", 0)
+@example(_f8_header(descr="<i4"), "exact", 0)
+@example(_f8_header(shape=(2, 0, 3)), "exact", 0)
+@example(_f8_header(descr="|u1", shape=(0, 3)), "exact", 0)
 def test_read_npy_header_fuzz(header, length, seed):
     shape, descr = header["shape"], header["descr"]
     itemsize = 8 if not isinstance(descr, str) else int(descr[-1:] or 8)
@@ -423,14 +497,22 @@ def test_read_npy_header_fuzz(header, length, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "x.npy")
         path.write_bytes(_npy_bytes(header, payload))
-        try:
-            arr = read_npy(path)
-        except (FormatError, UnsupportedDtypeError):
-            pass
-        else:  # only a well-formed header reads
+        arr, features, scores = (_outcome(reader, path) for reader in (read_npy, FeatureFile, ScoreFile))
+        if isinstance(arr, Exception):  # a malformed header: one error from every reader
+            assert isinstance(arr, (FormatError, UnsupportedDtypeError))
+            for exc in (features, scores):
+                assert (type(exc), str(exc)) == (type(arr), str(arr))
+        else:  # only a well-formed header reads, and fails only by a type rule
             assert isinstance(descr, str) and all(type(dim) is int for dim in shape)
             assert arr.shape == shape
             assert arr.nbytes == len(payload)
+            feature_error, score_error = _type_rule_errors(path, descr, shape)
+            assert _error(features) == feature_error
+            assert _error(scores) == score_error
+            if feature_error is None:
+                assert features.shape == (1, *shape)[-3:]
+                if np.isfinite(arr).all():  # <f4 views of random bytes may not be
+                    assert np.array_equal(features.tensor().data, arr.reshape(features.shape))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["score", str(path), "--cutoff", "0.25"])
