@@ -16,6 +16,7 @@ from .arrays import (
     FeatureFile,
     FeatureTensor,
     LabelMask,
+    NpyWriter,
     ScoreFile,
     class_mask,
     load_array,
@@ -34,6 +35,7 @@ from .analysis import (
 from .freqmix import (
     FreqMixParams,
     FreqMixWeights,
+    channel_means,
     freqmix_apply,
     freqmix_predict_weights,
     frequency_split,

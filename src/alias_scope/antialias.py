@@ -136,15 +136,19 @@ def binomial_blur(f: FeatureTensor, size: int) -> FeatureTensor:
     return FeatureTensor(out)
 
 
-def add_gaussian_noise(f: FeatureTensor, sigma: float, seed: int) -> FeatureTensor:
+def add_gaussian_noise(
+    f: FeatureTensor, sigma: float, seed: int | np.random.Generator
+) -> FeatureTensor:
     """Add i.i.d. N(0, sigma^2) noise, deterministic for a given seed.
 
     The noise is sigma * z for a standard-normal stream z, which is what
     rng.normal(0, sigma) draws, and the input is added to it in place.
+    `seed` may be a Generator, whose stream is drawn on: blocks of
+    channels taken in order from one Generator get the whole tensor's noise.
     """
     if not 0 <= sigma < np.inf:
         raise SpecError(f"sigma must be a finite number >= 0, got {sigma}")
-    if seed < 0:
+    if not isinstance(seed, np.random.Generator) and seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if sigma == 0:
         return FeatureTensor(f.data.astype(np.float64))

@@ -7,9 +7,13 @@ little-endian, C order, restricted to the dtypes '<f4', '<f8', '|u1',
 
 Every read goes through one NpyFile, which checks the header and payload
 size on opening and reads runs of the payload: read_npy reads it whole,
-FeatureFile reads a feature tensor whole or a band of rows at a time, and
-ScoreFile reads a score map in blocks.  load_array and FeatureFile share
-one set of type rules.  write_npy is the only writer.
+FeatureFile reads a feature tensor whole, a block of channels or a band
+of rows at a time, and ScoreFile reads a score map in blocks.  load_array
+and FeatureFile share one set of type rules.  write_npy writes every
+payload byte: a whole array to a path, or the next block of an NpyWriter,
+which writes the header to a temp file beside the output and renames it
+into place only once every block is written, so a failure leaves no
+partial file.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .errors import (
     FormatError,
+    InternalError,
     UnsupportedDtypeError,
     ValidationError,
 )
@@ -111,27 +116,92 @@ def read_npy(path) -> np.ndarray:
         return npy.read(fh, np.empty(npy.shape, npy.dtype), 0)
 
 
-def write_npy(path, arr: np.ndarray) -> None:
-    """Write an array to an NPY v1.0 file (C order, supported dtypes only)."""
+class NpyWriter:
+    """An NPY v1.0 file of a given dtype and shape, written a block along
+    its first axis at a time.  Entering writes the header to a temp file
+    beside `path`; `write_npy(writer, block)` appends each block's payload;
+    a clean exit checks that the blocks filled the shape and renames the
+    temp file over `path`.  Any error leaves `path` as it was and removes
+    the temp file.  A `path` that exists and is not a regular file, such
+    as /dev/stdout, is written in place: it cannot be renamed over."""
+
+    def __init__(self, path, dtype, shape: tuple[int, ...]):
+        given = np.dtype(dtype)
+        dtype = given.newbyteorder("<") if given.byteorder == ">" else given
+        if dtype not in _DTYPE_TO_DESCR:
+            raise UnsupportedDtypeError(f"cannot save dtype {given}")
+        self.path, self.dtype, self.shape = path, dtype, tuple(int(n) for n in shape)
+        self.written = 0
+
+    def __enter__(self) -> "NpyWriter":
+        header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (
+            _DTYPE_TO_DESCR[self.dtype],
+            self.shape,
+        )
+        # pad so magic+version+len+header is a multiple of 64, ending in newline
+        unpadded = len(NPY_MAGIC) + 2 + 2 + len(header) + 1
+        header = header + " " * ((-unpadded) % 64) + "\n"
+        if os.path.exists(self.path) and not os.path.isfile(self.path):
+            self._target = self._temp = None
+            self.fh = open(self.path, "wb")
+        else:  # beside the file a symlink names, so the link is kept
+            self._target = os.path.realpath(self.path)
+            folder, name = os.path.split(self._target)
+            self._temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+            try:
+                self.fh = open(self._temp, "xb")
+            except OSError as exc:  # named by the path asked for, not the temp file
+                raise OSError(exc.errno, exc.strerror, str(self.path)) from exc
+        try:
+            self.fh.write(NPY_MAGIC + bytes((1, 0)) + len(header).to_bytes(2, "little"))
+            self.fh.write(header.encode("ascii"))
+        except BaseException:
+            self._discard()
+            raise
+        return self
+
+    def _next_block(self, arr: np.ndarray) -> np.ndarray:
+        """`arr`, the next block along the first axis or the whole array, in
+        the file's dtype, for `write_npy`; InternalError if it does not
+        continue the shape."""
+        fits = arr.shape[1:] == self.shape[1:] and arr.ndim == len(self.shape)
+        if not fits or self.written + arr.size > math.prod(self.shape):
+            raise InternalError(f"{self.path}: block {arr.shape} does not continue {self.shape}")
+        self.written += arr.size
+        return arr.astype(self.dtype, copy=False)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.fh.close()
+            if exc_type is None:
+                if self.written != math.prod(self.shape):
+                    raise InternalError(
+                        f"{self.path}: {self.written} of {math.prod(self.shape)} elements written"
+                    )
+                if self._temp is not None:
+                    os.replace(self._temp, self._target)
+                return
+        except BaseException:
+            self._discard()
+            raise
+        self._discard()
+
+    def _discard(self) -> None:
+        self.fh.close()
+        if self._temp is not None:
+            os.unlink(self._temp)
+
+
+def write_npy(dest, arr: np.ndarray) -> None:
+    """Write an array's payload: the whole array to the path `dest`, as an
+    NPY v1.0 file (C order, supported dtypes only), or the next block of an
+    open NpyWriter.  Every NPY payload byte is written here."""
     arr = np.asarray(arr, order="C")  # keeps 0-d arrays 0-d
-    dtype = arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">" else arr.dtype
-    if dtype not in _DTYPE_TO_DESCR:
-        raise UnsupportedDtypeError(f"cannot save dtype {arr.dtype}")
-    descr = _DTYPE_TO_DESCR[dtype]
-    header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (
-        descr,
-        tuple(int(n) for n in arr.shape),
-    )
-    # pad so magic+version+len+header is a multiple of 64, ending in newline
-    unpadded = len(NPY_MAGIC) + 2 + 2 + len(header) + 1
-    pad = (-unpadded) % 64
-    header = header + " " * pad + "\n"
-    with open(path, "wb") as fh:
-        fh.write(NPY_MAGIC)
-        fh.write(bytes((1, 0)))
-        fh.write(len(header).to_bytes(2, "little"))
-        fh.write(header.encode("ascii"))
-        arr.astype(dtype, copy=False).tofile(fh)  # no bytes copy of the payload
+    if isinstance(dest, NpyWriter):
+        dest.fh.write(dest._next_block(arr))  # the buffer itself: no bytes copy
+        return
+    with NpyWriter(dest, arr.dtype, arr.shape) as writer:
+        writer.fh.write(writer._next_block(arr))
 
 
 def row_blocks(shape: tuple[int, ...], block: int = 1 << 16) -> list[slice]:
@@ -300,8 +370,9 @@ def load_array(path, ignore_value: int | None = DEFAULT_IGNORE_VALUE):
 
 
 class FeatureFile(NpyFile):
-    """A float feature tensor left in its NPY file, read whole or a band of
-    rows at a time, so that the whole tensor need never be held.
+    """A float feature tensor left in its NPY file, read whole, a block of
+    channels or a band of rows at a time, so that the whole tensor need
+    never be held.
 
     Opening checks the header and applies `_array_kind`'s type rules to it,
     without reading the payload: a 2D float array is one channel, and a
@@ -323,6 +394,18 @@ class FeatureFile(NpyFile):
         """The whole tensor, in one read."""
         with open(self.path, "rb") as fh:
             return FeatureTensor(self.read(fh, np.empty(self.shape, self.dtype), 0))
+
+    def blocks(self, block: int = 1 << 16):
+        """Each block of whole channels, in order, as (channel slice,
+        FeatureTensor): `row_blocks` over (C, H*W) cuts them, about `block`
+        elements and at least one channel each, and each is one read of the
+        payload, checked to be finite."""
+        plane = self.height * self.width
+        with open(self.path, "rb") as fh:
+            for channels in row_blocks((self.channels, plane), block):
+                data = np.empty((channels.stop - channels.start, self.height, self.width), self.dtype)
+                yield channels, FeatureTensor(self.read(fh, data, channels.start * plane))
+                del data  # the next block is read without this one
 
     def rows(self, y0: int, y1: int) -> np.ndarray:
         """Rows y0 .. y1 - 1 of every channel, one read per channel."""

@@ -2,7 +2,8 @@
 
 Measuring subcommands (esr, score, metrics, analyze, orth, fold, response)
 print a JSON report to stdout or --out; transforming subcommands (daf,
-blur, noise, freqmix, split) write NPY files.  Reports embed the tool
+blur, noise, freqmix, split) write NPY files, a block of channels at a
+time, each renamed into place once it is complete.  Reports embed the tool
 version, the settings the command read (`config`) and sha256 digests of
 every input, so identical invocations produce byte-identical output.
 Each subcommand accepts only the flags it reads: --format on the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import hashlib
@@ -49,19 +51,20 @@ from .antialias import (
 from .arrays import (
     FeatureFile,
     LabelMask,
+    NpyWriter,
     ScoreFile,
     load_array,
     read_npy,
     write_npy,
 )
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ValidationError
 from .freqmix import (
     FreqMixParams,
     FreqMixWeights,
+    channel_means,
     freqmix_apply,
-    freqmix_predict_weights,
+    frequency_split,
 )
-from .freqmix import frequency_split
 from .sampling import (
     DownsampleSpec,
     FilterBank,
@@ -341,44 +344,73 @@ def _require_out(args) -> str:
     return args.out
 
 
+def _stream(args, features: FeatureFile, outs: list, transform) -> None:
+    """Run `transform(channels, block)` on each block of channels of
+    `features`, in order, and append the float64 FeatureTensors it returns,
+    one per path of `outs`, to those files.  The outputs are renamed into
+    place only once every block is written.  Each block read was checked to
+    be finite, so NaN/Inf in an output is the transform's overflow."""
+    with contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(NpyWriter(out, np.float64, features.shape)) for out in outs]
+        for channels, block in features.blocks():
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    results = transform(channels, block)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"{args.command} output overflows float64; rescale the features"
+                ) from exc
+            for writer, result in zip(writers, results):
+                write_npy(writer, result.data)
+            del block, results, result  # the next block is read with none of these alive
+
+
 def cmd_daf(args) -> None:
     _, cutoff = _resolve_cutoff(args)
-    out = daf(FeatureFile(args.input).tensor(), CutoffSpec(cutoff))
-    write_npy(_require_out(args), out.data)
+    features, spec = FeatureFile(args.input), CutoffSpec(cutoff)
+    _stream(args, features, [_require_out(args)], lambda channels, f: [daf(f, spec)])
 
 
 def cmd_split(args) -> None:
     if Path(args.out_low).resolve() == Path(args.out_high).resolve():
         raise InputError(f"--out-low and --out-high are the same file: {args.out_low}")
     _, cutoff = _resolve_cutoff(args)
-    low, high = frequency_split(FeatureFile(args.input).tensor(), CutoffSpec(cutoff))
-    write_npy(args.out_low, low.data)
-    write_npy(args.out_high, high.data)
+    features, spec = FeatureFile(args.input), CutoffSpec(cutoff)
+    _stream(args, features, [args.out_low, args.out_high],
+            lambda channels, f: frequency_split(f, spec))
 
 
 def cmd_blur(args) -> None:
-    out = binomial_blur(FeatureFile(args.input).tensor(), args.size)
-    write_npy(_require_out(args), out.data)
+    features = FeatureFile(args.input)
+    _stream(args, features, [_require_out(args)],
+            lambda channels, f: [binomial_blur(f, args.size)])
 
 
 def cmd_noise(args) -> None:
     seed = _setting(args, "seed")
-    out = add_gaussian_noise(FeatureFile(args.input).tensor(), args.sigma, seed)
-    write_npy(_require_out(args), out.data)
+    if seed < 0:  # before default_rng, which would raise ValueError
+        raise InputError(f"seed must be >= 0, got {seed}")
+    features, rng = FeatureFile(args.input), np.random.default_rng(seed)
+    _stream(args, features, [_require_out(args)],
+            lambda channels, f: [add_gaussian_noise(f, args.sigma, rng)])
 
 
 def cmd_freqmix(args) -> None:
     _, cutoff = _resolve_cutoff(args, default=0.25)
-    f = FeatureFile(args.input).tensor()
+    features = FeatureFile(args.input)
     if (args.weights_dir is None) == (args.params_dir is None):
         raise InputError("give exactly one of --weights-dir or --params-dir")
     if args.weights_dir is not None:
         weights = FreqMixWeights.from_npy_dir(args.weights_dir)
     else:
         params = FreqMixParams.from_npy_dir(args.params_dir)
-        weights = freqmix_predict_weights(f, params)
-    out = freqmix_apply(f, CutoffSpec(cutoff), weights)
-    write_npy(_require_out(args), out.data)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf mean saturates a gain
+            means = channel_means(block for _, block in features.blocks())
+        weights = params.predict(*means)
+    weights.check_against(features.shape)
+    spec = CutoffSpec(cutoff)
+    _stream(args, features, [_require_out(args)],
+            lambda channels, f: [freqmix_apply(f, spec, weights.for_channels(channels))])
 
 
 def cmd_metrics(args) -> None:

@@ -7,6 +7,7 @@ parameters stay unconstrained.  The operator is forward-only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,8 +57,8 @@ class FreqMixWeights:
                 raise ShapeError(f"{name} must be 2D (H, W), got {arr.shape}")
             object.__setattr__(self, name, arr)
 
-    def check_against(self, f: FeatureTensor) -> None:
-        c, h, w = f.data.shape
+    def check_against(self, shape: tuple[int, int, int]) -> None:
+        c, h, w = shape
         if self.a_low_channel.shape != (c,) or self.a_high_channel.shape != (c,):
             raise ShapeError(
                 f"channel weights {self.a_low_channel.shape} do not match C={c}"
@@ -67,6 +68,24 @@ class FreqMixWeights:
                 f"spatial weights {self.a_low_spatial.shape} do not match "
                 f"({h}, {w})"
             )
+
+    @functools.cached_property
+    def spatial_gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sigmoid of the low and the high spatial logits."""
+        from scipy.special import expit  # imported here so other commands start without scipy
+
+        return expit(self.a_low_spatial), expit(self.a_high_spatial)
+
+    def for_channels(self, channels: slice) -> "FreqMixWeights":
+        """The weights of a block of channels: its channel vectors' slice,
+        and the same spatial maps, whose gains are taken once and shared
+        by every block."""
+        block = FreqMixWeights(
+            self.a_low_channel[channels], self.a_high_channel[channels],
+            self.a_low_spatial, self.a_high_spatial,
+        )
+        vars(block)["spatial_gains"] = self.spatial_gains
+        return block
 
     @classmethod
     def bypass(cls, channels: int, height: int, width: int) -> "FreqMixWeights":
@@ -125,6 +144,19 @@ class FreqMixParams:
     def channels(self) -> int:
         return self.fc_low_weight.shape[0]
 
+    def predict(self, pooled: np.ndarray, mean_map: np.ndarray) -> FreqMixWeights:
+        """Logits from a tensor's per-channel means and channel-mean map
+        (see `channel_means`).  Channel logits: fc of the means, per band.
+        Spatial logits: k x k conv over the map with reflect padding, per
+        band."""
+        if self.channels != len(pooled):
+            raise ShapeError(f"params expect C={self.channels}, tensor has C={len(pooled)}")
+        chan_low = self.fc_low_weight @ pooled + self.fc_low_bias
+        chan_high = self.fc_high_weight @ pooled + self.fc_high_bias
+        spat_low = _reflect_conv2d(mean_map, self.conv_low_kernel) + self.conv_low_bias
+        spat_high = _reflect_conv2d(mean_map, self.conv_high_kernel) + self.conv_high_bias
+        return FreqMixWeights(chan_low, chan_high, spat_low, spat_high)
+
     @classmethod
     def from_npy_dir(cls, directory) -> "FreqMixParams":
         directory = Path(directory)
@@ -147,14 +179,15 @@ def freqmix_apply(
     """Recombine the two bands with sigmoid(channel) * sigmoid(spatial) gains."""
     from scipy.special import expit  # imported here so other commands start without scipy
 
-    weights.check_against(f)
+    weights.check_against(f.data.shape)
     low, high = frequency_split(f, cutoff)
     # each band is released once it is multiplied into its gain, so at most
     # three (C, H, W) float64 arrays are alive at once
-    out = expit(weights.a_low_channel)[:, None, None] * expit(weights.a_low_spatial)
+    low_spatial, high_spatial = weights.spatial_gains
+    out = expit(weights.a_low_channel)[:, None, None] * low_spatial
     out *= low.data
     del low
-    gain = expit(weights.a_high_channel)[:, None, None] * expit(weights.a_high_spatial)
+    gain = expit(weights.a_high_channel)[:, None, None] * high_spatial
     gain *= high.data
     del high
     out += gain
@@ -169,23 +202,30 @@ def _reflect_conv2d(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return ndimage.correlate(plane, kernel, mode="reflect")
 
 
-def freqmix_predict_weights(f: FeatureTensor, params: FreqMixParams) -> FreqMixWeights:
-    """Predict logits from the tensor itself.
+def channel_means(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The per-channel means and the channel-mean map of a tensor given as
+    FeatureTensor blocks of whole channels, in order: `mean(axis=(1, 2))`
+    and `mean(axis=0)` of its float64 cast, bit for bit.  The map is a
+    running sum of the channel planes, added one plane at a time in
+    channel order, as numpy's reduction over the leading axis adds them
+    whenever a plane has more than one pixel."""
+    pooled, total = [], None
+    for block in blocks:
+        data = block.data.astype(np.float64, copy=False)
+        pooled.append(data.mean(axis=(1, 2)))
+        for plane in data:
+            if total is None:
+                total = plane.copy()
+            else:
+                total += plane
+    pooled = np.concatenate(pooled)
+    if total.size == 1:  # one-pixel planes: numpy sums the C values pairwise, as one row
+        return pooled, pooled.reshape(-1, 1, 1).mean(axis=0)
+    return pooled, total / len(pooled)
 
-    Channel logits: fc(global average pool of f) per band.  Spatial logits:
-    k x k conv over the channel-mean map with reflect padding, per band.
-    """
-    if params.channels != f.channels:
-        raise ShapeError(
-            f"params expect C={params.channels}, tensor has C={f.channels}"
-        )
-    data = f.data.astype(np.float64)
-    pooled = data.mean(axis=(1, 2))
-    chan_low = params.fc_low_weight @ pooled + params.fc_low_bias
-    chan_high = params.fc_high_weight @ pooled + params.fc_high_bias
-    mean_map = data.mean(axis=0)
-    spat_low = _reflect_conv2d(mean_map, params.conv_low_kernel) + params.conv_low_bias
-    spat_high = (
-        _reflect_conv2d(mean_map, params.conv_high_kernel) + params.conv_high_bias
-    )
-    return FreqMixWeights(chan_low, chan_high, spat_low, spat_high)
+
+def freqmix_predict_weights(f: FeatureTensor, params: FreqMixParams) -> FreqMixWeights:
+    """Predict logits from the tensor itself: `FreqMixParams.predict` of
+    its `channel_means`, the fc of the global average pool and the k x k
+    conv of the channel-mean map, per band."""
+    return params.predict(*channel_means([f]))

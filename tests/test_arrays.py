@@ -1,6 +1,8 @@
 import contextlib
 import io
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -16,6 +18,7 @@ from alias_scope.arrays import (
     FeatureFile,
     FeatureTensor,
     LabelMask,
+    NpyWriter,
     ScoreFile,
     class_mask,
     load_array,
@@ -23,7 +26,7 @@ from alias_scope.arrays import (
     write_npy,
 )
 from alias_scope.cli import main
-from alias_scope.errors import FormatError, UnsupportedDtypeError, ValidationError
+from alias_scope.errors import FormatError, InternalError, UnsupportedDtypeError, ValidationError
 
 
 @pytest.mark.parametrize(
@@ -157,6 +160,79 @@ def test_save_unwritable_path_raises(tmp_path):
     t = FeatureTensor(np.zeros((1, 2, 2)))
     with pytest.raises(OSError):
         write_npy(tmp_path / "no" / "such" / "dir" / "x.npy", t.data)
+
+
+def test_save_unwritable_path_names_the_path(tmp_path):
+    # the temp file is an implementation detail: the error names the path
+    path = tmp_path / "no" / "x.npy"
+    with pytest.raises(FileNotFoundError, match=str(path)) as caught:
+        write_npy(path, np.zeros(3))
+    assert ".tmp" not in str(caught.value)
+
+
+def test_npy_writer_appends_blocks_and_renames_on_success(tmp_path):
+    arr = np.arange(60, dtype="<f8").reshape(5, 3, 4)
+    path = tmp_path / "a.npy"
+    write_npy(path, arr)
+    whole = path.read_bytes()
+    path.write_bytes(b"earlier")
+    with NpyWriter(path, arr.dtype, arr.shape) as writer:
+        for rows in (slice(0, 2), slice(2, 3), slice(3, 5)):
+            write_npy(writer, arr[rows])
+            assert path.read_bytes() == b"earlier"  # not renamed until the end
+    assert path.read_bytes() == whole
+    assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[(2, 3, 4)], [(2, 3, 4), (4, 3, 4)], [(5, 4, 3)], [(5, 12)]],
+    ids=["too-few", "too-many", "wrong-plane", "wrong-rank"],
+)
+def test_npy_writer_rejects_blocks_that_miss_the_shape(tmp_path, blocks):
+    path = tmp_path / "a.npy"
+    with pytest.raises(InternalError):
+        with NpyWriter(path, "<f8", (5, 3, 4)) as writer:
+            for shape in blocks:
+                write_npy(writer, np.zeros(shape))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_npy_writer_error_leaves_path_as_it_was(tmp_path):
+    path = tmp_path / "a.npy"
+    path.write_bytes(b"earlier")
+    with pytest.raises(RuntimeError):
+        with NpyWriter(path, "<f8", (2, 2)) as writer:
+            write_npy(writer, np.ones((1, 2)))
+            raise RuntimeError("a later block failed")
+    assert path.read_bytes() == b"earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
+
+
+def test_write_through_symlink_keeps_the_link(tmp_path):
+    (tmp_path / "data").mkdir()
+    target, link = tmp_path / "data" / "a.npy", tmp_path / "link.npy"
+    target.write_bytes(b"earlier")
+    link.symlink_to(target)
+    write_npy(link, np.arange(6.0))
+    assert link.is_symlink()
+    assert np.array_equal(read_npy(target), np.arange(6.0))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.npy", "data", "link.npy"]
+
+
+def test_write_to_fifo_is_in_place(tmp_path):
+    # a pipe, like /dev/stdout, cannot be renamed over: it is written as is
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    write_npy(fifo, np.arange(6.0))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    np.save(tmp_path / "want.npy", np.arange(6.0))
+    assert received == [(tmp_path / "want.npy").read_bytes()]
+    assert fifo.is_fifo()
 
 
 def test_class_mask_uniform():

@@ -4,10 +4,12 @@ Each case runs `cli.main` once to warm up (imports, caches, the parser),
 then once under tracemalloc, on small fixed inputs.  A float command's
 bound is in units of its largest float64 array: C*H*W*8 bytes for a
 feature tensor, grid^2*8 for `response`, the float64 bank for `orth`.  The
-mask commands, and `esr` and `fold`, which read no array, are bounded in
-MiB.  Each bound is the peak measured with numpy 2.4 plus about 10%,
-except that `esr` and `fold`, which measure 9 KiB of argument parsing and
-report text, get 0.02 MiB; the README "Memory" table lists them.  Every
+mask commands, `esr` and `fold`, which read no array, and the commands
+that stream blocks of channels, whose peak does not grow with C, are
+bounded in MiB.  Each bound is the peak measured with numpy 2.4 plus
+about 10%, except that `esr` and `fold`, which measure 9 KiB of argument
+parsing and report text, get 0.02 MiB; the README "Memory" table lists
+them.  Every
 case runs with one score-map worker: each pool thread holds its own
 window buffers, so with more the peak would depend on the core count.
 `analyze --features` gets about 17%, because how its band reads and
@@ -24,7 +26,7 @@ import pytest
 
 from alias_scope.arrays import write_npy
 from alias_scope.cli import main
-from alias_scope.freqmix import WEIGHT_FIELDS
+from alias_scope.freqmix import PARAM_FIELDS, WEIGHT_FIELDS
 
 MIB = 2**20
 FEATURES = (8, 128, 128)  # one float64 unit is 1 MiB
@@ -60,10 +62,7 @@ def files(tmp_path_factory):
     c, h, w = FEATURES
     put("feat", rng.standard_normal(FEATURES).astype("<f4"))
     put("bank", rng.standard_normal(BANK).astype("<f4"))
-    (tmp / "weights").mkdir()
-    for name in WEIGHT_FIELDS:
-        shape = (c,) if name.endswith("channel") else (h, w)
-        write_npy(tmp / "weights" / f"{name}.npy", rng.standard_normal(shape))
+    put_freqmix_dirs(tmp, c, (h, w), rng)
     put("score", rng.uniform(0.0, 1.0, MASK).astype("<f4"))
     put("probs4", probabilities(4))
     for n in (4, 64):
@@ -75,6 +74,18 @@ def files(tmp_path_factory):
             put("gt4i4", gt.astype("<i4"))
             put("pred4i4", np.roll(labels(n), 5, axis=1).astype("<i4"))
     return paths
+
+
+def put_freqmix_dirs(folder, c: int, plane, rng) -> None:
+    """FreqMix `weights/` and `params/` under `folder`, for C channels of
+    an (H, W) `plane`."""
+    shapes = {"channel": (c,), "spatial": plane, "weight": (c, c), "bias": (c,), "kernel": (3, 3)}
+    for sub, fields in (("weights", WEIGHT_FIELDS), ("params", PARAM_FIELDS)):
+        (folder / sub).mkdir()
+        for name in fields:
+            kind = name.rsplit("_", 1)[1]
+            shape = () if name.startswith("conv") and kind == "bias" else shapes[kind]
+            write_npy(folder / sub / f"{name}.npy", rng.standard_normal(shape))
 
 
 def traced_peak(argv) -> int:
@@ -91,6 +102,23 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
+def streamed(feat, out):
+    """The commands that stream blocks of channels: command -> (argv, bound
+    in MiB)."""
+    cutoff = ["--cutoff", 0.25]
+    return {
+        "daf": (["daf", feat, *cutoff, "--out", out / "daf.npy"], 1.5),
+        "split": (["split", feat, *cutoff, "--out-low", out / "low.npy",
+                   "--out-high", out / "high.npy"], 1.5),
+        "blur": (["blur", feat, "--out", out / "blur.npy"], 1.4),
+        "noise": (["noise", feat, "--sigma", 0.5, "--out", out / "noise.npy"], 0.92),
+        "freqmix": (["freqmix", feat, *cutoff, "--weights-dir", out / "weights",
+                     "--out", out / "mix.npy"], 2.5),
+        "freqmix --params-dir": (["freqmix", feat, *cutoff, "--params-dir", out / "params",
+                                  "--out", out / "mix.npy"], 2.65),
+    }
+
+
 def cases(p):
     """command -> (argv, bound in bytes)."""
     out = p["dir"]
@@ -101,13 +129,7 @@ def cases(p):
         "esr": (["esr", "--kernel", 3, "--cin", 8, "--cout", 16, "--stride", 2], 0.02 * MIB),
         "fold": (["fold", "--freq", 0.4, "--stride", 2], 0.02 * MIB),
         "score": (["score", feat, *cutoff], 4.9 * unit),
-        "daf": (["daf", feat, *cutoff, "--out", out / "daf.npy"], 2.9 * unit),
-        "split": (["split", feat, *cutoff, "--out-low", out / "low.npy",
-                   "--out-high", out / "high.npy"], 2.9 * unit),
-        "blur": (["blur", feat, "--out", out / "blur.npy"], 2.75 * unit),
-        "noise": (["noise", feat, "--sigma", 0.5, "--out", out / "noise.npy"], 1.8 * unit),
-        "freqmix": (["freqmix", feat, *cutoff, "--weights-dir", out / "weights",
-                     "--out", out / "mix.npy"], 4.3 * unit),
+        **{name: (argv, bound * MIB) for name, (argv, bound) in streamed(feat, out).items()},
         "analyze --features": (["analyze", "--features", feat, *cutoff], 0.65 * unit),
         "response": (["response", "--builtin", "binomial3", "--grid", GRID,
                       "--map-out", out / "map.npy"], 1.65 * GRID**2 * 8),
@@ -120,7 +142,7 @@ def cases(p):
 
 
 COMMANDS = [
-    "esr", "fold", "score", "daf", "split", "blur", "noise", "freqmix",
+    "esr", "fold", "score", "daf", "split", "blur", "noise", "freqmix", "freqmix --params-dir",
     "analyze --features", "response", "orth", "metrics", "metrics <i4",
     "analyze --score", "analyze --score --probs",
 ]
@@ -149,6 +171,22 @@ def test_mask_peak_independent_of_class_count(files, command):
 
     few, many = traced_peak(argv(4)), traced_peak(argv(64))
     assert many <= 1.25 * few, f"{few / MIB:.2f} MiB at 4 classes, {many / MIB:.2f} at 64"
+
+
+@pytest.mark.parametrize("command", ["daf", "split", "blur", "noise", "freqmix", "freqmix --params-dir"])
+def test_streamed_peak_independent_of_channel_count(tmp_path, command):
+    # one block of about 65536 values is held at a time, so 64 channels of
+    # 128 x 128 cost what 4 do, which fit one block
+    peaks = {}
+    for c in (4, 64):
+        folder = tmp_path / f"c{c}"
+        folder.mkdir()
+        rng = np.random.default_rng(c)
+        feat = folder / "feat.npy"
+        write_npy(feat, rng.standard_normal((c, 128, 128)).astype("<f4"))
+        put_freqmix_dirs(folder, c, (128, 128), rng)
+        peaks[c] = traced_peak(streamed(feat, folder)[command][0])
+    assert peaks[64] <= 1.25 * peaks[4], f"{peaks[4] / MIB:.2f} MiB at C=4, {peaks[64] / MIB:.2f} at 64"
 
 
 def test_features_peak_independent_of_height(tmp_path):

@@ -1,18 +1,21 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope.antialias import CutoffSpec, daf
-from alias_scope.arrays import FeatureTensor, write_npy
+from alias_scope.arrays import FeatureFile, FeatureTensor, write_npy
 from alias_scope.errors import ShapeError
 from alias_scope.freqmix import (
     PARAM_FIELDS,
     WEIGHT_FIELDS,
     FreqMixParams,
     FreqMixWeights,
+    channel_means,
     freqmix_apply,
     freqmix_predict_weights,
     frequency_split,
@@ -235,6 +238,40 @@ def test_predict_matches_scalar_reference():
                     acc += params.conv_high_kernel[dy + half, dx + half] * mean_map[yy, xx]
             expected[y, x] = acc + params.conv_high_bias
     assert np.abs(weights.a_high_spatial - expected).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    c=st.integers(1, 9),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    dtype=st.sampled_from(["<f4", "<f8"]),
+    block=st.integers(1, 9 * 12 * 12),
+    seed=st.integers(0, 2**16),
+)
+@example(c=8, h=1, w=1, dtype="<f8", block=1, seed=3)
+def test_channel_means_are_numpy_means_bit_for_bit(c, h, w, dtype, block, seed):
+    # a running plane sum adds the channels in the order numpy's reduction
+    # over axis 0 does, so the streamed means keep every bit
+    rng = np.random.default_rng(seed)
+    data = (rng.standard_normal((c, h, w)) * 10.0 ** rng.integers(-3, 4, (c, 1, 1))).astype(dtype)
+    data64 = data.astype(np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.npy"
+        write_npy(path, data)
+        pooled, mean_map = channel_means(b for _, b in FeatureFile(path).blocks(block))
+    assert pooled.tobytes() == data64.mean(axis=(1, 2)).tobytes()
+    assert mean_map.tobytes() == data64.mean(axis=0).tobytes()
+    params = FreqMixParams(
+        rng.standard_normal((c, c)), rng.standard_normal(c),
+        rng.standard_normal((c, c)), rng.standard_normal(c),
+        rng.standard_normal((3, 3)), 0.4,
+        rng.standard_normal((3, 3)), -0.1,
+    )
+    whole = freqmix_predict_weights(FeatureTensor(data), params)
+    want = params.predict(data64.mean(axis=(1, 2)), data64.mean(axis=0))
+    for name in WEIGHT_FIELDS:
+        assert getattr(whole, name).tobytes() == getattr(want, name).tobytes()
 
 
 def _reflect_index(i, n):
