@@ -19,7 +19,6 @@ from .arrays import (
     NpyWriter,
     ScoreFile,
     class_mask,
-    load_array,
     read_npy,
     write_npy,
 )

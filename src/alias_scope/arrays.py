@@ -8,17 +8,19 @@ little-endian, C order, restricted to the dtypes '<f4', '<f8', '|u1',
 Every read goes through one NpyFile, which checks the header and payload
 size on opening and reads runs of the payload: read_npy reads it whole,
 FeatureFile reads a feature tensor whole, a block of channels or a band
-of rows at a time, and ScoreFile reads a score map in blocks.  load_array
-and FeatureFile share one set of type rules.  write_npy writes every
-payload byte: a whole array to a path, or the next block of an NpyWriter,
-which writes the header to a temp file beside the output and renames it
-into place only once every block is written, so a failure leaves no
-partial file.
+of rows at a time, ScoreFile reads a score map in blocks, and
+LabelMask.from_npy reads a label mask whole.  FeatureFile and
+LabelMask.from_npy type a file from its header by one set of rules,
+before any payload is read.  write_npy writes every payload byte: a whole
+array to a path, or the next block of an NpyWriter, which writes the
+header to a temp file beside the output and renames it into place only
+once every block is written, so a failure leaves no partial file.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -283,22 +285,21 @@ class LabelMask:
     def width(self) -> int:
         return self.data.shape[1]
 
-    def validate_classes(self, n_classes: int) -> int:
-        """Check that every label but the ignore value is below n_classes,
-        one block of rows at a time; return the largest such label, or -1
-        when there is none."""
-        top = -1
-        for rows in row_blocks(self.data.shape):
-            labels = self.data[rows]
-            if self.ignore_value is not None:
-                labels = labels[labels != self.ignore_value]
-            if labels.size:
-                top = max(top, int(labels.max()))
-        if top >= n_classes:
-            raise ValidationError(f"label {top} out of range for {n_classes} classes")
-        return top
+    @classmethod
+    def from_npy(cls, path, ignore_value: int | None = DEFAULT_IGNORE_VALUE) -> "LabelMask":
+        """The label mask in an NPY file, typed from its header by
+        `_array_kind` before its payload is read: anything but a 2D integer
+        array is rejected unread."""
+        npy = NpyFile(path)
+        if _array_kind(path, npy.dtype, npy.shape)[0] is not LabelMask:
+            raise ValidationError(f"{path}: expected an integer label mask")
+        return cls(read_npy(path), ignore_value)
 
-    def present_classes(self) -> list[int]:
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """The labels present, but the ignore value, in ascending order and
+        read-only: one scan of the mask, which `present_classes` and
+        `validate_classes` both read."""
         if self.data.dtype.itemsize <= 2:
             # |u1 and <u2 labels index a table of at most 65536 flags, with
             # no intp copy of the mask; an <i4 label can be up to
@@ -311,7 +312,19 @@ class LabelMask:
             labels = np.unique(np.concatenate([np.unique(self.data[r]) for r in blocks]))
         if self.ignore_value is not None:
             labels = labels[labels != self.ignore_value]
-        return [int(v) for v in labels]
+        labels.flags.writeable = False
+        return labels
+
+    def validate_classes(self, n_classes: int) -> int:
+        """Check that every label but the ignore value is below n_classes;
+        return the largest such label, or -1 when there is none."""
+        top = int(self.labels[-1]) if self.labels.size else -1
+        if top >= n_classes:
+            raise ValidationError(f"label {top} out of range for {n_classes} classes")
+        return top
+
+    def present_classes(self) -> list[int]:
+        return [int(v) for v in self.labels]
 
 
 @dataclass(frozen=True)
@@ -347,10 +360,11 @@ class BinaryMask:
 
 
 def _array_kind(path, dtype: np.dtype, shape: tuple[int, ...]) -> tuple[type, tuple[int, ...]]:
-    """load_array's type rules: the class an array of this dtype and shape
-    becomes, and the shape it is made with.  A 2D integer array is a
-    LabelMask; a 2D float array is a one-channel FeatureTensor and a 3D
-    one a (C, H, W) FeatureTensor.  Anything else is rejected."""
+    """The type rules of FeatureFile and LabelMask.from_npy: the class an
+    array of this dtype and shape becomes, and the shape it is made with.
+    A 2D integer array is a LabelMask; a 2D float array is a one-channel
+    FeatureTensor and a 3D one a (C, H, W) FeatureTensor.  Anything else
+    is rejected."""
     if len(shape) not in (2, 3):
         raise ValidationError(f"{path}: expected 2D or 3D array, got {len(shape)}D")
     if dtype in FLOAT_DTYPES:
@@ -358,15 +372,6 @@ def _array_kind(path, dtype: np.dtype, shape: tuple[int, ...]) -> tuple[type, tu
     if len(shape) == 3:
         raise UnsupportedDtypeError(f"{path}: 3D integer arrays have no interpretation here")
     return LabelMask, shape
-
-
-def load_array(path, ignore_value: int | None = DEFAULT_IGNORE_VALUE):
-    """Load an NPY file as a FeatureTensor or LabelMask, by `_array_kind`."""
-    arr = read_npy(path)
-    kind, shape = _array_kind(path, arr.dtype, arr.shape)
-    if kind is LabelMask:
-        return LabelMask(arr, ignore_value=ignore_value)
-    return FeatureTensor(arr.reshape(shape))
 
 
 class FeatureFile(NpyFile):

@@ -53,7 +53,6 @@ from .arrays import (
     LabelMask,
     NpyWriter,
     ScoreFile,
-    load_array,
     read_npy,
     write_npy,
 )
@@ -276,13 +275,6 @@ def _curves_csv(curves: dict[str, list[dict]]) -> str:
     return buf.getvalue()
 
 
-def _load_mask(path, ignore_value) -> LabelMask:
-    obj = load_array(path, ignore_value=ignore_value)
-    if not isinstance(obj, LabelMask):
-        raise InputError(f"{path}: expected an integer label mask")
-    return obj
-
-
 def _external_score_map(path) -> tuple[float, ScoreMap]:
     """The mean of the external score map, `np.mean`'s bits read a leaf at
     a time, and the map left in its file, which binning reads again a block
@@ -417,9 +409,8 @@ def cmd_metrics(args) -> None:
     config = _settings(args, "band_width", "out_format")
     if args.classes is not None and args.classes < 0:
         raise InputError(f"--classes must be >= 0, got {args.classes}")
-    ignore = args.ignore_value
-    pred = _load_mask(args.pred, ignore)
-    gt = _load_mask(args.gt, ignore)
+    pred = LabelMask.from_npy(args.pred, args.ignore_value)
+    gt = LabelMask.from_npy(args.gt, args.ignore_value)
     if pred.data.shape != gt.data.shape:
         raise InputError("pred and gt shapes differ")
     classes = relevant_classes(pred, gt)
@@ -472,7 +463,7 @@ def cmd_analyze(args) -> None:
 
     gt = None
     if args.gt is not None:
-        gt = _load_mask(args.gt, args.ignore_value)
+        gt = LabelMask.from_npy(args.gt, args.ignore_value)
         inputs["gt"] = args.gt
         if gt.data.shape != score_map.shape:
             raise InputError("gt shape does not match the score map")
@@ -494,7 +485,7 @@ def cmd_analyze(args) -> None:
     if args.pred is not None:
         if gt is None:
             raise InputError("--pred needs --gt")
-        pred = _load_mask(args.pred, args.ignore_value)
+        pred = LabelMask.from_npy(args.pred, args.ignore_value)
         inputs["pred"] = args.pred
         if pred.data.shape != gt.data.shape:
             raise InputError("pred and gt shapes differ")

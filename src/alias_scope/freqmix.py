@@ -131,8 +131,8 @@ class FreqMixParams:
             object.__setattr__(self, name, arr)
         for name in ("conv_low_kernel", "conv_high_kernel"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeError(f"{name} must be 2D (k, k), got {arr.shape}")
+            if arr.ndim != 2 or 0 in arr.shape:
+                raise ShapeError(f"{name} must be 2D (k, k) with positive dims, got {arr.shape}")
             object.__setattr__(self, name, arr)
         for name in ("conv_low_bias", "conv_high_bias"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)

@@ -150,6 +150,8 @@ def filter_frequency_response(kernel: np.ndarray, grid: int) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2:
         raise SizeError(f"kernel must be 2D, got shape {kernel.shape}")
+    if 0 in kernel.shape:
+        raise SizeError(f"kernel dims must be positive: {kernel.shape}")
     kh, kw = kernel.shape
     if kh > grid or kw > grid:
         raise SizeError(f"kernel {kernel.shape} larger than {grid}x{grid} grid")

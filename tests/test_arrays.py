@@ -21,7 +21,6 @@ from alias_scope.arrays import (
     NpyWriter,
     ScoreFile,
     class_mask,
-    load_array,
     read_npy,
     write_npy,
 )
@@ -58,7 +57,7 @@ def test_npy_interops_with_numpy(tmp_path):
 def test_load_zeros_3d_float(tmp_path):
     path = tmp_path / "z.npy"
     write_npy(path, np.zeros((2, 4, 4), dtype=np.float32))
-    t = load_array(path)
+    t = FeatureFile(path).tensor()
     assert isinstance(t, FeatureTensor)
     assert (t.channels, t.height, t.width) == (2, 4, 4)
     assert not t.data.any()
@@ -68,7 +67,7 @@ def test_load_2d_uint8_labels(tmp_path):
     labels = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     path = tmp_path / "m.npy"
     write_npy(path, labels)
-    m = load_array(path)
+    m = LabelMask.from_npy(path)
     assert isinstance(m, LabelMask)
     assert np.array_equal(m.data, labels)
 
@@ -76,7 +75,7 @@ def test_load_2d_uint8_labels(tmp_path):
 def test_load_2d_float_is_single_channel_tensor(tmp_path):
     path = tmp_path / "f.npy"
     write_npy(path, np.ones((3, 3), dtype=np.float64))
-    t = load_array(path)
+    t = FeatureFile(path).tensor()
     assert isinstance(t, FeatureTensor)
     assert t.channels == 1
 
@@ -146,14 +145,14 @@ def test_nonfinite_floats_rejected(tmp_path):
     path = tmp_path / "nan.npy"
     write_npy(path, arr)
     with pytest.raises(ValidationError):
-        load_array(path)
+        FeatureFile(path).tensor()
 
 
 def test_3d_int_rejected(tmp_path):
     path = tmp_path / "i.npy"
     write_npy(path, np.zeros((2, 2, 2), dtype=np.int32))
     with pytest.raises(UnsupportedDtypeError):
-        load_array(path)
+        LabelMask.from_npy(path)
 
 
 def test_save_unwritable_path_raises(tmp_path):
@@ -298,7 +297,14 @@ def label_grids(draw):
 @example(np.array([[2**30, 255]], dtype="<i4"), 255)
 def test_present_classes_matches_unique(data, ignore):
     expected = [int(v) for v in np.unique(data) if v != ignore]
-    assert LabelMask(data, ignore).present_classes() == expected
+    mask = LabelMask(data, ignore)
+    assert mask.present_classes() == expected
+    # the range check reads that one scan, not the mask
+    object.__setattr__(mask, "data", None)
+    top = max(expected, default=-1)
+    assert mask.validate_classes(top + 1) == top
+    with pytest.raises(ValidationError, match=f"^label {top} out of range for {top} classes$"):
+        mask.validate_classes(top)
 
 
 @pytest.mark.parametrize("dtype", ["<f4", "<f8", "|u1", "<i4", "<u2"])
@@ -436,7 +442,7 @@ def test_binary_mask_round_trip(tmp_path):
     bits = np.array([[True, False], [False, True]])
     path = tmp_path / "b.npy"
     write_npy(path, BinaryMask(bits).bits.astype(np.uint8))
-    back = load_array(path)
+    back = LabelMask.from_npy(path)
     assert isinstance(back, LabelMask)
     assert np.array_equal(back.data.astype(bool), bits)
 
@@ -476,6 +482,35 @@ def test_label_file_as_features_is_rejected_from_its_header(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"alias-scope: error: {path}: expected a float feature tensor\n")
     assert not out.exists()
+
+
+def test_label_file_is_rejected_from_its_header(tmp_path, capsys):
+    # a float file is not a label mask, whatever its values or size, and
+    # every mask input says so from the header alone
+    path, good, score = tmp_path / "x.npy", tmp_path / "good.npy", tmp_path / "score.npy"
+    write_npy(good, np.zeros((4, 4), dtype=np.uint8))
+    write_npy(score, np.full((4, 4), 0.5))
+    nan = np.ones((4, 4))
+    nan[-1, -1] = np.nan
+    line = f"alias-scope: error: {path}: expected an integer label mask\n"
+    for data in (np.zeros((4, 4), dtype="<f4"), np.zeros((2, 4, 4)), nan, np.zeros((0, 4), dtype="<f4")):
+        write_npy(path, data)
+        for argv in (["metrics", path, good], ["metrics", good, path],
+                     ["analyze", "--score", score, "--pred", path, "--gt", good],
+                     ["analyze", "--score", score, "--pred", good, "--gt", path]):
+            capsys.readouterr()
+            assert main([str(a) for a in argv]) == 2
+            assert capsys.readouterr() == ("", line)
+    # a large float file is not read at all
+    write_npy(path, np.zeros((2048, 2048), dtype="<f4"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="expected an integer label mask"):
+            LabelMask.from_npy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 # --- fuzz: any header dict reads, or raises FormatError/UnsupportedDtypeError
@@ -528,25 +563,29 @@ def _error(outcome):
 
 
 def _type_rule_errors(path, descr, shape):
-    """The (type, message) that FeatureFile and ScoreFile raise on a
-    well-formed header of this descr and shape, or None where they open."""
+    """The (type, message) that FeatureFile, LabelMask.from_npy and
+    ScoreFile raise on a well-formed header of this descr and shape, or
+    None where they open."""
     floats = descr[1] == "f"
     if len(shape) not in (2, 3):
-        feature = ("ValidationError", f"{path}: expected 2D or 3D array, got {len(shape)}D")
+        feature = label = ("ValidationError", f"{path}: expected 2D or 3D array, got {len(shape)}D")
     elif not floats and len(shape) == 3:
-        feature = ("UnsupportedDtypeError", f"{path}: 3D integer arrays have no interpretation here")
-    elif 0 in shape and floats:
-        feature = ("ValidationError", f"feature tensor dims must be positive: {(1, *shape)[-3:]}")
+        feature = label = ("UnsupportedDtypeError", f"{path}: 3D integer arrays have no interpretation here")
+    elif floats:
+        label = ("ValidationError", f"{path}: expected an integer label mask")
+        feature = None
+        if 0 in shape:
+            feature = ("ValidationError", f"feature tensor dims must be positive: {(1, *shape)[-3:]}")
     elif 0 in shape:
-        feature = ("ValidationError", f"label mask dims must be positive: {shape}")
+        feature = label = ("ValidationError", f"label mask dims must be positive: {shape}")
     else:
-        feature = None if floats else ("ValidationError", f"{path}: expected a float feature tensor")
+        feature, label = ("ValidationError", f"{path}: expected a float feature tensor"), None
     score = None
     if len(shape) != 2:
         score = ("ValidationError", f"{path}: score map must be 2D")
     elif 0 in shape:
         score = ("ValidationError", f"{path}: score map dims must be positive: {shape}")
-    return feature, score
+    return feature, label, score
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,18 +612,24 @@ def test_read_npy_header_fuzz(header, length, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "x.npy")
         path.write_bytes(_npy_bytes(header, payload))
-        arr, features, scores = (_outcome(reader, path) for reader in (read_npy, FeatureFile, ScoreFile))
+        readers = (read_npy, FeatureFile, LabelMask.from_npy, ScoreFile)
+        arr, features, labels, scores = (_outcome(reader, path) for reader in readers)
         if isinstance(arr, Exception):  # a malformed header: one error from every reader
             assert isinstance(arr, (FormatError, UnsupportedDtypeError))
-            for exc in (features, scores):
+            for exc in (features, labels, scores):
                 assert (type(exc), str(exc)) == (type(arr), str(arr))
         else:  # only a well-formed header reads, and fails only by a type rule
             assert isinstance(descr, str) and all(type(dim) is int for dim in shape)
             assert arr.shape == shape
             assert arr.nbytes == len(payload)
-            feature_error, score_error = _type_rule_errors(path, descr, shape)
+            feature_error, label_error, score_error = _type_rule_errors(path, descr, shape)
+            if label_error is None and np.any((arr < 0) & (arr != 255)):  # random <i4 bytes
+                label_error = ("ValidationError", "label mask contains negative labels")
             assert _error(features) == feature_error
+            assert _error(labels) == label_error
             assert _error(scores) == score_error
+            if label_error is None:
+                assert np.array_equal(labels.data, arr)
             if feature_error is None:
                 assert features.shape == (1, *shape)[-3:]
                 if np.isfinite(arr).all():  # <f4 views of random bytes may not be

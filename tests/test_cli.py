@@ -19,7 +19,7 @@ import alias_scope
 from alias_scope import cli, segmetrics
 from alias_scope.arrays import LabelMask, read_npy, write_npy
 from alias_scope.cli import main
-from alias_scope.freqmix import WEIGHT_FIELDS
+from alias_scope.freqmix import PARAM_FIELDS, WEIGHT_FIELDS
 from alias_scope.synth import tone, white_noise
 
 
@@ -289,6 +289,19 @@ def test_freqmix_needs_one_source(capsys, tmp_path, feature_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+def test_freqmix_empty_conv_kernel_exit_2(capsys, tmp_path, feature_file, shape):
+    params, out = tmp_path / "params", tmp_path / "mixed.npy"
+    params.mkdir()
+    shapes = [(2, 2), (2,), (2, 2), (2,), (3, 3), (), shape, ()]  # a valid head but one kernel
+    for name, field_shape in zip(PARAM_FIELDS, shapes):
+        write_npy(params / f"{name}.npy", np.zeros(field_shape))
+    code, stdout, err = run(capsys, "freqmix", feature_file, "--params-dir", params, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"alias-scope: error: conv_high_kernel must be 2D (k, k) with positive dims, got {shape}\n"
+    assert not out.exists()
+
+
 # --- metrics
 
 
@@ -484,6 +497,18 @@ def test_response_non_finite_rejected(capsys, tmp_path, kernel):
     assert code == 2
     assert stdout == ""
     assert err.startswith("alias-scope: error:") and "not finite" in err
+    assert not out_map.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+def test_response_empty_kernel_file_exit_2(capsys, tmp_path, shape):
+    kfile, out_map = tmp_path / "k.npy", tmp_path / "resp.npy"
+    write_npy(kfile, np.zeros(shape))
+    code, stdout, err = run(
+        capsys, "response", "--kernel-file", kfile, "--grid", 8, "--map-out", out_map
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"alias-scope: error: kernel dims must be positive: {shape}\n"
     assert not out_map.exists()
 
 
@@ -761,6 +786,11 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_label_scans(monkeypatch):
+    # a mask's one scan for its labels computes its cached `labels`
+    return _count_calls(monkeypatch, LabelMask.labels, "func")
+
+
 def _count_band_calls(monkeypatch):
     calls = _count_calls(monkeypatch, segmetrics, "boundary_band")
     monkeypatch.setattr(cli, "boundary_band", segmetrics.boundary_band)
@@ -811,12 +841,13 @@ def test_metrics_builds_two_bands_per_class(capsys, monkeypatch, three_class_pai
 def test_metrics_scans_and_validates_each_mask_once(
     capsys, monkeypatch, three_class_pair, classes
 ):
-    scans = _count_calls(monkeypatch, LabelMask, "present_classes")
+    scans = _count_label_scans(monkeypatch)
     checks = _count_calls(monkeypatch, LabelMask, "validate_classes")
     pred, gt = three_class_pair
     report = run_json(capsys, "metrics", pred, gt, "--band-width", 1, *classes)
     assert len(report["result"]["per_class"]) == 3
-    assert len(scans) == 2
+    # the class list and the range check read one scan of each mask
+    assert len(scans) == 2 and scans[0][0] is not scans[1][0]
     assert len(checks) == 2
 
 
@@ -827,6 +858,7 @@ def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three
     write_npy(score_path, np.linspace(0.0, 1.0, 64).reshape(8, 8))
     calls = _count_band_calls(monkeypatch)
     packs = _count_calls(monkeypatch, segmetrics, "pack_class")
+    scans = _count_label_scans(monkeypatch)
     report = run_json(
         capsys, "analyze", "--score", score_path, "--probs", probs_path,
         "--pred", pred, "--gt", gt, "--band-width", 1, "--bins", 2,
@@ -836,6 +868,9 @@ def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three
     # the --probs union takes each pair's G_d, so no gt band is built twice
     assert len(calls) == 2 * 3
     assert len(packs) == 2 * 3
+    # gt is scanned once, for the --probs range check, and the class list
+    # reads that scan
+    assert len(scans) == 2 and scans[0][0] is not scans[1][0]
 
 
 _RANGE_CHECKS = [  # command, flag, config key (None: flag only), bad value

@@ -317,6 +317,17 @@ def test_params_round_trip_via_npy(tmp_path):
         )
 
 
+@pytest.mark.parametrize("field", ["conv_low_kernel", "conv_high_kernel"])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_params_reject_an_empty_conv_kernel(field, shape):
+    # scipy's correlate raises RuntimeError on an empty kernel
+    fields = dict(zip(PARAM_FIELDS, vars(zero_params(2)).values()))
+    fields[field] = np.zeros(shape)
+    with pytest.raises(ShapeError) as info:
+        FreqMixParams(**fields)
+    assert str(info.value) == f"{field} must be 2D (k, k) with positive dims, got {shape}"
+
+
 def test_weights_shape_check_at_load(tmp_path):
     weights = make_weights(2, 4, 4, seed=12)
     for name in WEIGHT_FIELDS:

@@ -242,3 +242,11 @@ def test_response_matches_full_fft2(grid, kh, kw, exponent, seed):
 def test_response_kernel_too_large():
     with pytest.raises(SizeError):
         filter_frequency_response(np.ones((5, 5)), 4)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_response_empty_kernel_rejected(shape):
+    # an empty kernel would give an all-zero response, not an error
+    with pytest.raises(SizeError) as info:
+        filter_frequency_response(np.zeros(shape), 8)
+    assert str(info.value) == f"kernel dims must be positive: {shape}"
