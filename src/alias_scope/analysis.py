@@ -9,7 +9,9 @@ so a pixel's nearest center is its nearest center row crossed with its
 nearest center column, ties going to the lower one.  The windows of one
 center row lie in one (C, window, W) band of rows, so the map reads the
 features one band at a time, from a FeatureTensor in memory or from a
-FeatureFile on disk, and never holds more than two bands.
+FeatureFile on disk, and holds one band: from a file, each band row
+moves the rows it shares with the last up in place and reads only the
+new ones, so each row of the file is read once.
 
 Binning takes its per-pixel inputs the same way, a block of rows at a
 time: the score map from memory or from its file (ScoreFile), the
@@ -19,6 +21,7 @@ the masks from bools or from packed rows.
 
 from __future__ import annotations
 
+import functools
 import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -96,10 +99,11 @@ def patch_aliasing_map(
 
     Each window's per-channel-mean score lands on its center pixel;
     pixels without a computed center take the nearest one.  The windows
-    are taken from one (C, window, W) band of rows per window row, from
-    memory or from the file; the next band is read while the pool scores
-    this one's windows, so at most two bands are held.  Rows that no
-    window covers (a stride past the window) are read and checked too.
+    are taken from one (C, window, W) band of rows per window row: views
+    of a tensor in memory, or from a file one buffer that each band row
+    refills once the pool has scored its windows, reading each row once
+    (`FeatureFile.bands`).  Rows that no window covers (a stride past the
+    window) are read and checked too.
     """
     if window < 1 or stride < 1:
         raise SizeError("window and stride must be positive")
@@ -112,24 +116,17 @@ def patch_aliasing_map(
     def score_at(band: np.ndarray, x: int) -> float:
         patch = FeatureTensor(band[:, :, x : x + window])
         try:
-            return aliasing_score(patch, cutoff, mode="per_channel_mean")
+            # errstate is per thread; band_power reports an overflow itself
+            with np.errstate(over="ignore", invalid="ignore"):
+                return aliasing_score(patch, cutoff, mode="per_channel_mean")
         except UndefinedRatioError:
             return 0.0  # zero-power window carries no aliasing energy
 
-    scores, pending, read_to = [], [], 0
+    grid = np.empty((len(ys), len(xs)))
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        for y in ys:
-            # a stride past the window skips rows; read them, a band at a
-            # time, only so that they are checked
-            for g in range(read_to, y, window):
-                f.rows(g, min(g + window, y))
-            band = f.rows(y, y + window)
-            read_to = y + window
-            done, pending = pending, [pool.submit(score_at, band, x) for x in xs]
-            scores += [s.result() for s in done]  # frees the previous band
-        scores += [s.result() for s in pending]
+        for band, scores in zip(f.bands(ys, window), grid):
+            scores[:] = list(pool.map(functools.partial(score_at, band), xs))
 
-    grid = np.reshape(scores, (len(ys), len(xs)))
     values = grid[np.ix_(_nearest(ys, window, h), _nearest(xs, window, w))]
     return ScoreMap(values, window, stride, cutoff.cutoff)
 

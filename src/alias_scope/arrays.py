@@ -250,32 +250,44 @@ class FeatureTensor:
         """Rows y0 .. y1 - 1 of every channel, as a (C, y1 - y0, W) view."""
         return self.data[:, y0:y1]
 
+    def bands(self, starts: list[int], height: int):
+        """Rows y .. y + height - 1 of every channel for each y of `starts`,
+        as views, like `FeatureFile.bands`."""
+        for y in starts:
+            yield self.data[:, y : y + height]
+
 
 @dataclass(frozen=True)
 class LabelMask:
-    """Integer (H, W) label grid; ignore_value marks unlabeled pixels."""
+    """Integer (H, W) label grid; ignore_value marks unlabeled pixels.
+    `source`, the path of the file it was read from, if any, begins every
+    message of its checks."""
 
     data: np.ndarray
     ignore_value: int | None = DEFAULT_IGNORE_VALUE
+    source: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data)
         if arr.ndim != 2:
-            raise ValidationError(f"label mask must be 2D, got shape {arr.shape}")
+            raise self._invalid(f"label mask must be 2D, got shape {arr.shape}")
         if arr.dtype not in INT_DTYPES:
             if not np.issubdtype(arr.dtype, np.integer):
-                raise ValidationError(f"label mask dtype must be integer: {arr.dtype}")
+                raise self._invalid(f"label mask dtype must be integer: {arr.dtype}")
             arr = arr.astype(np.int32)
         if any(n <= 0 for n in arr.shape):
-            raise ValidationError(f"label mask dims must be positive: {arr.shape}")
+            raise self._invalid(f"label mask dims must be positive: {arr.shape}")
         if arr.dtype.kind == "i":  # |u1 and <u2 labels cannot be negative
             for rows in row_blocks(arr.shape):
                 bad = arr[rows] < 0
                 if self.ignore_value is not None:
                     bad &= arr[rows] != self.ignore_value
                 if np.any(bad):
-                    raise ValidationError("label mask contains negative labels")
+                    raise self._invalid("label mask contains negative labels")
         object.__setattr__(self, "data", arr)
+
+    def _invalid(self, message: str) -> ValidationError:
+        return ValidationError(message if self.source is None else f"{self.source}: {message}")
 
     @property
     def height(self) -> int:
@@ -293,7 +305,7 @@ class LabelMask:
         npy = NpyFile(path)
         if _array_kind(path, npy.dtype, npy.shape)[0] is not LabelMask:
             raise ValidationError(f"{path}: expected an integer label mask")
-        return cls(read_npy(path), ignore_value)
+        return cls(read_npy(path), ignore_value, str(path))
 
     @functools.cached_property
     def labels(self) -> np.ndarray:
@@ -320,7 +332,7 @@ class LabelMask:
         return the largest such label, or -1 when there is none."""
         top = int(self.labels[-1]) if self.labels.size else -1
         if top >= n_classes:
-            raise ValidationError(f"label {top} out of range for {n_classes} classes")
+            raise self._invalid(f"label {top} out of range for {n_classes} classes")
         return top
 
     def present_classes(self) -> list[int]:
@@ -416,9 +428,36 @@ class FeatureFile(NpyFile):
         """Rows y0 .. y1 - 1 of every channel, one read per channel."""
         band = np.empty((self.channels, y1 - y0, self.width), dtype=self.dtype)
         with open(self.path, "rb") as fh:
-            for c, plane in enumerate(band):
-                self.read(fh, plane, (c * self.height + y0) * self.width)
-        return FeatureTensor(band).data  # checks the band is finite, no copy
+            return self._read_rows(fh, band, y0)
+
+    def bands(self, starts: list[int], height: int):
+        """Rows y .. y + height - 1 of every channel for each y of the
+        ascending `starts`, in one (C, height, W) buffer that the next step
+        overwrites: the rows it shares with the previous band are moved up
+        in place and only the new rows are read, so each row is read once.
+        Rows that fall between two bands are read into the buffer and
+        checked too."""
+        band = np.empty((self.channels, height, self.width), dtype=self.dtype)
+        bottom = 0  # the last band was rows bottom - height .. bottom - 1
+        with open(self.path, "rb") as fh:
+            for y in starts:
+                keep = max(0, bottom - y)
+                if keep:  # one flat forward copy per channel, no temporary
+                    for plane in band.reshape(self.channels, -1):
+                        plane[: keep * self.width] = plane[(height - keep) * self.width :]
+                for gap in range(bottom, y, height):
+                    self._read_rows(fh, band[:, : min(height, y - gap)], gap)
+                self._read_rows(fh, band[:, keep:], y + keep)
+                yield band
+                bottom = y + height
+
+    def _read_rows(self, fh, out: np.ndarray, y0: int) -> np.ndarray:
+        """Fill `out`, a (C, n, W) array whose channels are each contiguous,
+        with rows y0 .. y0 + n - 1 of every channel, one read per channel,
+        and check them to be finite."""
+        for c, plane in enumerate(out):
+            self.read(fh, plane, (c * self.height + y0) * self.width)
+        return FeatureTensor(out).data  # checks the rows are finite, no copy
 
 
 PAIRWISE_LEAF = 1 << 16  # values per read of `ScoreFile.mean`, at least 128

@@ -317,7 +317,8 @@ def cmd_score(args) -> None:
     config = {**_settings(args, "score_mode", "out_format"),
               "cutoff_source": source, "cutoff": cutoff}
     f = FeatureFile(args.input).tensor()
-    high, total = band_power(fft2(f), CutoffSpec(cutoff))
+    with np.errstate(over="ignore", invalid="ignore"):  # band_power reports an overflow
+        high, total = band_power(fft2(f), CutoffSpec(cutoff))
     result = {
         "aliasing_score": score_from_power(high, total, config["score_mode"]),
         "mode": config["score_mode"],

@@ -203,6 +203,43 @@ def test_banded_map_rejects_nan_anywhere(h, w, window, stride, seed):
             patch_aliasing_map(FeatureFile(path), window, stride, QUARTER)
 
 
+@pytest.mark.parametrize("window, stride", [(8, 4), (8, 8), (8, 12), (4, 10)])
+def test_banded_map_reads_each_row_once(tmp_path, monkeypatch, window, stride):
+    # 37 rows: the last window is clamped to overlap the one before it,
+    # and a stride past the window leaves rows in no window (one gap wider
+    # than the window at w4/s10), which are still read, once
+    c, h, w = 3, 37, 20
+    data = np.random.default_rng(window * stride).standard_normal((c, h, w))
+    path = tmp_path / "f.npy"
+    write_npy(path, data)
+    reads = []
+    real = arrays.NpyFile.read
+
+    def counting(self, fh, out, at):
+        channel, y0 = divmod(at // w, h)
+        reads.extend((channel, y) for y in range(y0, y0 + out.size // w))
+        assert y0 + out.size // w <= h  # one read never spans two channels
+        return real(self, fh, out, at)
+
+    monkeypatch.setattr(arrays.NpyFile, "read", counting)
+    banded = patch_aliasing_map(FeatureFile(path), window, stride, QUARTER)
+    assert sorted(reads) == [(ch, y) for ch in range(c) for y in range(h)]
+    whole = patch_aliasing_map(FeatureTensor(data), window, stride, QUARTER)
+    assert np.array_equal(banded.values, whole.values)
+
+
+def test_banded_map_reports_a_band_before_reading_the_next(tmp_path):
+    # a band's windows are scored before the next band's new rows are read,
+    # so an overflow in the first band is reported before a NaN in the second
+    data = np.ones((2, 24, 8))
+    data[:, :8] = 1.7e308 * np.random.default_rng(0).choice([-1.0, 1.0], (2, 8, 8))
+    data[0, 12, 3] = np.nan
+    path = tmp_path / "f.npy"
+    write_npy(path, data)
+    with pytest.raises(ValidationError, match="spectral power overflows float64"):
+        patch_aliasing_map(FeatureFile(path), 8, 8, QUARTER)
+
+
 @pytest.mark.parametrize("window, stride", [(0, 1), (4, 0), (9, 1)])
 def test_banded_map_rejects_bad_windows_as_in_memory(tmp_path, window, stride):
     data = np.ones((2, 8, 8))

@@ -577,7 +577,8 @@ def _type_rule_errors(path, descr, shape):
         if 0 in shape:
             feature = ("ValidationError", f"feature tensor dims must be positive: {(1, *shape)[-3:]}")
     elif 0 in shape:
-        feature = label = ("ValidationError", f"label mask dims must be positive: {shape}")
+        feature = ("ValidationError", f"label mask dims must be positive: {shape}")
+        label = ("ValidationError", f"{path}: label mask dims must be positive: {shape}")
     else:
         feature, label = ("ValidationError", f"{path}: expected a float feature tensor"), None
     score = None
@@ -624,7 +625,7 @@ def test_read_npy_header_fuzz(header, length, seed):
             assert arr.nbytes == len(payload)
             feature_error, label_error, score_error = _type_rule_errors(path, descr, shape)
             if label_error is None and np.any((arr < 0) & (arr != 255)):  # random <i4 bytes
-                label_error = ("ValidationError", "label mask contains negative labels")
+                label_error = ("ValidationError", f"{path}: label mask contains negative labels")
             assert _error(features) == feature_error
             assert _error(labels) == label_error
             assert _error(scores) == score_error

@@ -676,6 +676,30 @@ def test_overflowing_spectral_power_rejected(capsys, tmp_path, command):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("command", ["score", "analyze"])
+def test_float64_edge_input_rejected_in_one_line(tmp_path, command):
+    # the transform of +-1.7e308 overflows to inf and NaN; band_power turns
+    # that into the one error line, with no numpy RuntimeWarning before it.
+    # pytest captures warnings in process, so this runs the CLI in its own
+    # process; the map's windows are scored on pool threads, which numpy's
+    # errstate of the main thread does not cover
+    side = 16 if command == "score" else 40
+    feat = tmp_path / "edge.npy"
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], (2, side, side))
+    write_npy(feat, 1.7e308 * signs)
+    argv = ["score", feat] if command == "score" else [
+        "analyze", "--features", feat, "--window", 8, "--stride-px", 4]
+    src = str(Path(alias_scope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alias_scope", *map(str, argv), "--cutoff", "0.25"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "alias-scope: error: spectral power overflows float64; rescale the features\n"
+
+
 def test_score_single_pass_matches_modes(capsys, feature_file):
     report = run_json(capsys, "score", feature_file, "--cutoff", 0.25)
     result = report["result"]
@@ -772,6 +796,29 @@ def test_metrics_pred_label_out_of_range(capsys, tmp_path, mask_pair):
     code, _, err = run(capsys, "metrics", pred_path, gt_path, "--classes", 2)
     assert code == 2
     assert "out of range" in err
+
+
+BAD_MASKS = {
+    "negative": (np.full((8, 8), -3, dtype="<i4"), [], "label mask contains negative labels"),
+    "empty": (np.zeros((0, 8), dtype=np.uint8), [], "label mask dims must be positive: (0, 8)"),
+    "out of range": (np.full((8, 8), 7, dtype=np.uint8), ["--classes", 5],
+                     "label 7 out of range for 5 classes"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_MASKS)
+@pytest.mark.parametrize("position", ["pred", "gt"])
+def test_metrics_label_mask_errors_name_the_file(capsys, tmp_path, mask_pair, fault, position):
+    # with two masks read, the message says which of them is at fault
+    labels, flags, message = BAD_MASKS[fault]
+    bad = tmp_path / "bad.npy"
+    write_npy(bad, labels)
+    pred, gt = mask_pair
+    masks = [bad, gt] if position == "pred" else [pred, bad]
+    code, out, err = run(capsys, "metrics", *masks, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"alias-scope: error: {bad}: {message}\n"
 
 
 def _count_calls(monkeypatch, owner, name):

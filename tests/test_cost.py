@@ -12,8 +12,8 @@ parsing and report text, get 0.02 MiB; the README "Memory" table lists
 them.  Every
 case runs with one score-map worker: each pool thread holds its own
 window buffers, so with more the peak would depend on the core count.
-`analyze --features` gets about 17%, because how its band reads and
-window scores overlap in time moves its peak.
+`analyze --features` gets about 17%, the margin it needed while its band
+reads and window scores overlapped in time.
 """
 
 import contextlib
@@ -130,7 +130,7 @@ def cases(p):
         "fold": (["fold", "--freq", 0.4, "--stride", 2], 0.02 * MIB),
         "score": (["score", feat, *cutoff], 4.9 * unit),
         **{name: (argv, bound * MIB) for name, (argv, bound) in streamed(feat, out).items()},
-        "analyze --features": (["analyze", "--features", feat, *cutoff], 0.65 * unit),
+        "analyze --features": (["analyze", "--features", feat, *cutoff], 0.48 * unit),
         "response": (["response", "--builtin", "binomial3", "--grid", GRID,
                       "--map-out", out / "map.npy"], 1.65 * GRID**2 * 8),
         "orth": (["orth", p["bank"]], 3.3 * np.prod(BANK) * 8),
