@@ -51,9 +51,14 @@ def band_power(spec: Spectrum, cutoff: CutoffSpec) -> tuple[np.ndarray, np.ndarr
         power = power_spectrum(spec)
         high = power[:, mask].sum(axis=1)
         total = power.sum(axis=(1, 2))
+        check_power(total)
+    return high, total
+
+
+def check_power(total: np.ndarray) -> None:
+    """ValidationError if the total power summed over channels overflows."""
     if not np.isfinite(total.sum()):
         raise ValidationError("spectral power overflows float64; rescale the features")
-    return high, total
 
 
 def score_from_power(

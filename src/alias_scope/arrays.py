@@ -7,14 +7,15 @@ little-endian, C order, restricted to the dtypes '<f4', '<f8', '|u1',
 
 Every read goes through one NpyFile, which checks the header and payload
 size on opening and reads runs of the payload: read_npy reads it whole,
-FeatureFile reads a feature tensor whole, a block of channels or a band
-of rows at a time, ScoreFile reads a score map in blocks, and
+FeatureFile reads a feature tensor a block of channels or a band of rows
+at a time, ScoreFile reads a score map in blocks, and
 LabelMask.from_npy reads a label mask whole.  FeatureFile and
 LabelMask.from_npy type a file from its header by one set of rules,
-before any payload is read.  write_npy writes every payload byte: a whole
-array to a path, or the next block of an NpyWriter, which writes the
-header to a temp file beside the output and renames it into place only
-once every block is written, so a failure leaves no partial file.
+before any payload is read, and every check of a file's values names
+the file.  write_npy writes every payload byte: a whole array to a path,
+or the next block of an NpyWriter, which writes the header to a temp
+file beside the output and renames it into place only once every block
+is written, so a failure leaves no partial file.
 """
 
 from __future__ import annotations
@@ -122,10 +123,19 @@ class NpyWriter:
     """An NPY v1.0 file of a given dtype and shape, written a block along
     its first axis at a time.  Entering writes the header to a temp file
     beside `path`; `write_npy(writer, block)` appends each block's payload;
-    a clean exit checks that the blocks filled the shape and renames the
-    temp file over `path`.  Any error leaves `path` as it was and removes
-    the temp file.  A `path` that exists and is not a regular file, such
-    as /dev/stdout, is written in place: it cannot be renamed over."""
+    a clean exit checks that the blocks filled the shape and publishes the
+    temp file at `path`.
+
+    Publishing renames an existing file at `path` to a hidden name beside
+    it, renames the temp file onto the now free name, and unlinks the old
+    file.  On ext4 a rename over an existing file starts writeback of the
+    new one in the caller, and a rename onto a free name does not.  Between
+    the two renames a concurrent reader finds no file at `path`, and a
+    process killed then leaves the old file under its hidden name,
+    `.<name>.<hex>.old`.  Any error leaves `path` as it was, with no temp
+    or old file beside it.  A `path` that exists and is not a regular
+    file, such as /dev/stdout, is written in place: it cannot be renamed
+    over.  A symlink is kept, and the file it names is replaced."""
 
     def __init__(self, path, dtype, shape: tuple[int, ...]):
         given = np.dtype(dtype)
@@ -181,12 +191,30 @@ class NpyWriter:
                         f"{self.path}: {self.written} of {math.prod(self.shape)} elements written"
                     )
                 if self._temp is not None:
-                    os.replace(self._temp, self._target)
+                    self._publish()
                 return
         except BaseException:
             self._discard()
             raise
         self._discard()
+
+    def _publish(self) -> None:
+        """Move the finished temp file to the target, the old file aside
+        first; if that fails, put the old file back."""
+        old = os.path.splitext(self._temp)[0] + ".old"
+        try:
+            os.rename(self._target, old)
+        except FileNotFoundError:  # a first write: nothing to move aside
+            old = None
+        try:
+            os.rename(self._temp, self._target)
+        except BaseException:
+            if old is not None:
+                os.rename(old, self._target)
+            raise
+        self._temp = None  # published: nothing left to discard
+        if old is not None:
+            os.unlink(old)
 
     def _discard(self) -> None:
         self.fh.close()
@@ -218,21 +246,27 @@ def row_blocks(shape: tuple[int, ...], block: int = 1 << 16) -> list[slice]:
 
 @dataclass(frozen=True)
 class FeatureTensor:
-    """Real-valued (C, H, W) grid; every element finite."""
+    """Real-valued (C, H, W) grid; every element finite.  `source`, the
+    path of the file it was read from, if any, begins every message of its
+    checks."""
 
     data: np.ndarray
+    source: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data)
         if arr.ndim != 3:
-            raise ValidationError(f"feature tensor must be 3D, got shape {arr.shape}")
+            raise self._invalid(f"feature tensor must be 3D, got shape {arr.shape}")
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         if any(n <= 0 for n in arr.shape):
-            raise ValidationError(f"feature tensor dims must be positive: {arr.shape}")
+            raise self._invalid(f"feature tensor dims must be positive: {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValidationError("feature tensor contains NaN/Inf")
+            raise self._invalid("feature tensor contains NaN/Inf")
         object.__setattr__(self, "data", arr)
+
+    def _invalid(self, message: str) -> ValidationError:
+        return ValidationError(message if self.source is None else f"{self.source}: {message}")
 
     @property
     def channels(self) -> int:
@@ -387,41 +421,41 @@ def _array_kind(path, dtype: np.dtype, shape: tuple[int, ...]) -> tuple[type, tu
 
 
 class FeatureFile(NpyFile):
-    """A float feature tensor left in its NPY file, read whole, a block of
-    channels or a band of rows at a time, so that the whole tensor need
-    never be held.
+    """A float feature tensor left in its NPY file, read a block of
+    channels or a band of rows at a time, so that the whole tensor is
+    never held.
 
     Opening checks the header and applies `_array_kind`'s type rules to it,
     without reading the payload: a 2D float array is one channel, and a
     label mask is rejected.  `shape` is the (C, H, W) shape.  Every read
-    goes through FeatureTensor's checks, so a NaN/Inf fails with its message.
+    goes through FeatureTensor's checks, so a NaN/Inf fails with its
+    message, prefixed by the path.
     """
 
     def __init__(self, path):
         super().__init__(path)
         kind, shape = _array_kind(path, self.dtype, self.shape)
         if 0 in shape:  # fails with its class's message, on no data
-            kind(np.empty(shape, self.dtype))
+            kind(np.empty(shape, self.dtype), source=str(path))
         if kind is LabelMask:
             raise ValidationError(f"{path}: expected a float feature tensor")
         self.shape = shape
         self.channels, self.height, self.width = shape
 
-    def tensor(self) -> FeatureTensor:
-        """The whole tensor, in one read."""
-        with open(self.path, "rb") as fh:
-            return FeatureTensor(self.read(fh, np.empty(self.shape, self.dtype), 0))
-
-    def blocks(self, block: int = 1 << 16):
+    def blocks(self, block: int = 1 << 16, least: int = 1):
         """Each block of whole channels, in order, as (channel slice,
         FeatureTensor): `row_blocks` over (C, H*W) cuts them, about `block`
-        elements and at least one channel each, and each is one read of the
-        payload, checked to be finite."""
+        elements and at least `least` channels each, or all C if fewer,
+        with a shorter last block joined to the one before.  Each is one
+        read of the payload, checked to be finite."""
         plane = self.height * self.width
+        cuts = row_blocks((self.channels, plane), max(block, least * plane))
+        if len(cuts) > 1 and cuts[-1].stop - cuts[-1].start < least:
+            cuts[-2:] = [slice(cuts[-2].start, self.channels)]
         with open(self.path, "rb") as fh:
-            for channels in row_blocks((self.channels, plane), block):
+            for channels in cuts:
                 data = np.empty((channels.stop - channels.start, self.height, self.width), self.dtype)
-                yield channels, FeatureTensor(self.read(fh, data, channels.start * plane))
+                yield channels, FeatureTensor(self.read(fh, data, channels.start * plane), str(self.path))
                 del data  # the next block is read without this one
 
     def rows(self, y0: int, y1: int) -> np.ndarray:
@@ -457,7 +491,7 @@ class FeatureFile(NpyFile):
         and check them to be finite."""
         for c, plane in enumerate(out):
             self.read(fh, plane, (c * self.height + y0) * self.width)
-        return FeatureTensor(out).data  # checks the rows are finite, no copy
+        return FeatureTensor(out, str(self.path)).data  # checks the rows are finite, no copy
 
 
 PAIRWISE_LEAF = 1 << 16  # values per read of `ScoreFile.mean`, at least 128

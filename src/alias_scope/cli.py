@@ -44,6 +44,7 @@ from .antialias import (
     binomial_blur,
     binomial_kernel,
     channel_scores,
+    check_power,
     daf,
     flc_cutoff,
     score_from_power,
@@ -316,9 +317,14 @@ def cmd_score(args) -> None:
     source, cutoff = _resolve_cutoff(args)
     config = {**_settings(args, "score_mode", "out_format"),
               "cutoff_source": source, "cutoff": cutoff}
-    f = FeatureFile(args.input).tensor()
+    features, spec = FeatureFile(args.input), CutoffSpec(cutoff)
+    # band_power sums a one-channel gather of the high band pairwise and a
+    # wider one bin by bin, so blocks of two or more channels keep the
+    # whole tensor's bits
     with np.errstate(over="ignore", invalid="ignore"):  # band_power reports an overflow
-        high, total = band_power(fft2(f), CutoffSpec(cutoff))
+        powers = [band_power(fft2(f), spec) for _, f in features.blocks(least=2)]
+        high, total = (np.concatenate(p) for p in zip(*powers))
+        check_power(total)  # a sum over blocks overflows where no block's does
     result = {
         "aliasing_score": score_from_power(high, total, config["score_mode"]),
         "mode": config["score_mode"],

@@ -57,7 +57,7 @@ def test_npy_interops_with_numpy(tmp_path):
 def test_load_zeros_3d_float(tmp_path):
     path = tmp_path / "z.npy"
     write_npy(path, np.zeros((2, 4, 4), dtype=np.float32))
-    t = FeatureFile(path).tensor()
+    [(_, t)] = FeatureFile(path).blocks()
     assert isinstance(t, FeatureTensor)
     assert (t.channels, t.height, t.width) == (2, 4, 4)
     assert not t.data.any()
@@ -75,7 +75,7 @@ def test_load_2d_uint8_labels(tmp_path):
 def test_load_2d_float_is_single_channel_tensor(tmp_path):
     path = tmp_path / "f.npy"
     write_npy(path, np.ones((3, 3), dtype=np.float64))
-    t = FeatureFile(path).tensor()
+    [(_, t)] = FeatureFile(path).blocks()
     assert isinstance(t, FeatureTensor)
     assert t.channels == 1
 
@@ -144,8 +144,8 @@ def test_nonfinite_floats_rejected(tmp_path):
     arr[0, 0, 0] = np.nan
     path = tmp_path / "nan.npy"
     write_npy(path, arr)
-    with pytest.raises(ValidationError):
-        FeatureFile(path).tensor()
+    with pytest.raises(ValidationError, match=f"{path}: feature tensor contains NaN/Inf"):
+        list(FeatureFile(path).blocks())
 
 
 def test_3d_int_rejected(tmp_path):
@@ -206,6 +206,33 @@ def test_npy_writer_error_leaves_path_as_it_was(tmp_path):
             raise RuntimeError("a later block failed")
     assert path.read_bytes() == b"earlier"
     assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
+
+
+def test_npy_writer_failed_publish_puts_the_old_file_back(tmp_path, monkeypatch):
+    # the old file is renamed aside before the temp file is renamed onto
+    # the path; when that second rename fails, the old file goes back
+    path = tmp_path / "a.npy"
+    path.write_bytes(b"earlier")
+    rename, renamed = os.rename, []
+
+    def failing_rename(src, dst):
+        renamed.append(os.path.basename(src))
+        if str(src).endswith(".tmp"):
+            raise OSError(28, "No space left on device")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", failing_rename)
+    with pytest.raises(OSError, match="No space left"):
+        write_npy(path, np.arange(6.0))
+    assert path.read_bytes() == b"earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
+    assert renamed[0] == "a.npy" and renamed[1].endswith(".tmp") and renamed[2].endswith(".old")
+
+
+def test_npy_writer_first_write_leaves_only_the_output(tmp_path):
+    write_npy(tmp_path / "a.npy", np.arange(6.0))
+    assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
+    assert np.array_equal(read_npy(tmp_path / "a.npy"), np.arange(6.0))
 
 
 def test_write_through_symlink_keeps_the_link(tmp_path):
@@ -575,10 +602,9 @@ def _type_rule_errors(path, descr, shape):
         label = ("ValidationError", f"{path}: expected an integer label mask")
         feature = None
         if 0 in shape:
-            feature = ("ValidationError", f"feature tensor dims must be positive: {(1, *shape)[-3:]}")
+            feature = ("ValidationError", f"{path}: feature tensor dims must be positive: {(1, *shape)[-3:]}")
     elif 0 in shape:
-        feature = ("ValidationError", f"label mask dims must be positive: {shape}")
-        label = ("ValidationError", f"{path}: label mask dims must be positive: {shape}")
+        feature = label = ("ValidationError", f"{path}: label mask dims must be positive: {shape}")
     else:
         feature, label = ("ValidationError", f"{path}: expected a float feature tensor"), None
     score = None
@@ -634,7 +660,8 @@ def test_read_npy_header_fuzz(header, length, seed):
             if feature_error is None:
                 assert features.shape == (1, *shape)[-3:]
                 if np.isfinite(arr).all():  # <f4 views of random bytes may not be
-                    assert np.array_equal(features.tensor().data, arr.reshape(features.shape))
+                    read = np.concatenate([block.data for _, block in features.blocks()])
+                    assert np.array_equal(read, arr.reshape(features.shape))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["score", str(path), "--cutoff", "0.25"])

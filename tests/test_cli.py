@@ -414,7 +414,7 @@ def _bad_features(tmp_path, fault):
     """A --features file with one fault, and the stderr line it must give."""
     path = tmp_path / "feat.npy"
     data = white_noise((2, 16, 16), seed=5).data
-    line = "feature tensor contains NaN/Inf"
+    line = f"{path}: feature tensor contains NaN/Inf"
     if fault == "nan-in-gap":
         # windows of 4 at stride 8 cover rows 0-3, 8-11, ...; row 5 lies
         # in no window, yet the whole-file load rejected it
@@ -454,6 +454,26 @@ def test_analyze_bad_features_exit_2(capsys, tmp_path, fault, window, stride):
         "--window", window, "--stride-px", stride,
     )
     assert (code, out, err) == (2, "", line)
+
+
+@pytest.mark.parametrize("command", ["analyze --probs", "score", "daf"])
+def test_nan_in_a_float_input_names_its_file(capsys, tmp_path, command):
+    # analyze reads two float files: the line says which one holds the NaN
+    feat, probs, gt = tmp_path / "feat.npy", tmp_path / "probs.npy", tmp_path / "gt.npy"
+    features, probabilities = white_noise((2, 16, 16), seed=5).data, np.full((2, 16, 16), 0.5)
+    (probabilities if command == "analyze --probs" else features)[1, 7, 3] = np.nan
+    write_npy(feat, features)
+    write_npy(probs, probabilities)
+    write_npy(gt, np.zeros((16, 16), dtype=np.uint8))
+    bad = probs if command == "analyze --probs" else feat
+    argv = {
+        "analyze --probs": ["analyze", "--features", feat, "--probs", probs, "--gt", gt,
+                            "--window", 8, "--stride-px", 4],
+        "score": ["score", feat],
+        "daf": ["daf", feat, "--out", tmp_path / "daf.npy"],
+    }[command]
+    code, out, err = run(capsys, *argv, "--cutoff", 0.25)
+    assert (code, out, err) == (2, "", f"alias-scope: error: {bad}: feature tensor contains NaN/Inf\n")
 
 
 def test_analyze_needs_exactly_one_source(capsys, tmp_path):

@@ -107,6 +107,7 @@ def streamed(feat, out):
     in MiB)."""
     cutoff = ["--cutoff", 0.25]
     return {
+        "score": (["score", feat, *cutoff], 2.55),
         "daf": (["daf", feat, *cutoff, "--out", out / "daf.npy"], 1.5),
         "split": (["split", feat, *cutoff, "--out-low", out / "low.npy",
                    "--out-high", out / "high.npy"], 1.5),
@@ -128,7 +129,6 @@ def cases(p):
     return {
         "esr": (["esr", "--kernel", 3, "--cin", 8, "--cout", 16, "--stride", 2], 0.02 * MIB),
         "fold": (["fold", "--freq", 0.4, "--stride", 2], 0.02 * MIB),
-        "score": (["score", feat, *cutoff], 4.9 * unit),
         **{name: (argv, bound * MIB) for name, (argv, bound) in streamed(feat, out).items()},
         "analyze --features": (["analyze", "--features", feat, *cutoff], 0.48 * unit),
         "response": (["response", "--builtin", "binomial3", "--grid", GRID,
@@ -173,7 +173,7 @@ def test_mask_peak_independent_of_class_count(files, command):
     assert many <= 1.25 * few, f"{few / MIB:.2f} MiB at 4 classes, {many / MIB:.2f} at 64"
 
 
-@pytest.mark.parametrize("command", ["daf", "split", "blur", "noise", "freqmix", "freqmix --params-dir"])
+@pytest.mark.parametrize("command", ["score", "daf", "split", "blur", "noise", "freqmix", "freqmix --params-dir"])
 def test_streamed_peak_independent_of_channel_count(tmp_path, command):
     # one block of about 65536 values is held at a time, so 64 channels of
     # 128 x 128 cost what 4 do, which fit one block

@@ -1,14 +1,17 @@
-"""The transforming commands stream blocks of channels.
+"""The feature commands stream blocks of channels.
 
 `daf`, `split`, `blur`, `noise` and `freqmix` read, transform and write a
 block of whole channels at a time.  Every output file must hold the bytes
 that `write_npy` writes for the whole-tensor library call, whatever the
 block size, and a failure at any block must leave no output behind.
+`score` transforms a block at a time, and its report must hold the
+whole-tensor call's numbers bit for bit.
 """
 
 import contextlib
 import functools
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,7 +22,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope import cli
-from alias_scope.antialias import CutoffSpec, add_gaussian_noise, binomial_blur, daf
+from alias_scope.antialias import (
+    CutoffSpec,
+    add_gaussian_noise,
+    band_power,
+    binomial_blur,
+    channel_scores,
+    daf,
+    score_from_power,
+)
 from alias_scope.arrays import FeatureFile, FeatureTensor, write_npy
 from alias_scope.cli import main
 from alias_scope.freqmix import (
@@ -28,6 +39,7 @@ from alias_scope.freqmix import (
     freqmix_apply,
     frequency_split,
 )
+from alias_scope.spectral import fft2
 from test_cost import put_freqmix_dirs
 
 COMMANDS = ["daf", "split", "blur", "noise", "freqmix --weights-dir", "freqmix --params-dir"]
@@ -181,3 +193,46 @@ def test_transform_overflow_named_in_one_line(tmp_path, overflowing, command):
     assert err.startswith(f"alias-scope: error: {command.split()[0]} output overflows float64")
     assert not any(out.exists() for out in outs)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.npy", "params", "weights"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    c=st.sampled_from([1, 3, 5, 7]),
+    h=st.integers(48, 400),
+    extra=st.integers(0, 300),
+    dtype=st.sampled_from(["<f4", "<f8"]),
+    cutoff=st.sampled_from([0.1, 0.25, 0.4]),
+    seed=st.integers(0, 2**16),
+)
+def test_streamed_score_is_the_whole_tensor_call(c, h, extra, dtype, cutoff, seed):
+    # planes of 65536 values or more are read two channels at a time, and
+    # an odd C folds its last channel into the block before it: a block of
+    # one channel would sum its high band pairwise and move the last bits
+    w = -(-(1 << 16) // h) + extra
+    data = np.random.default_rng(seed).standard_normal((c, h, w)).astype(dtype)
+    high, total = band_power(fft2(FeatureTensor(data)), CutoffSpec(cutoff))
+    want = {
+        "per_channel": channel_scores(high, total),
+        "per_channel_mean": score_from_power(high, total, "per_channel_mean"),
+        "global": score_from_power(high, total, "global"),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        feat, out = Path(tmp) / "feat.npy", Path(tmp) / "score.json"
+        write_npy(feat, data)
+        code, err = run(["score", feat, "--cutoff", cutoff, "--out", out])
+        assert code == 0, err
+        result = json.loads(out.read_text())["result"]
+    assert {key: result[key] for key in want} == want
+
+
+def test_score_overflow_over_blocks_rejected(tmp_path):
+    # each channel's power is 0.6e308 and each block of two sums to a finite
+    # 1.2e308, but the four channels' total overflows float64
+    signs = np.random.default_rng(0).random((4, 256, 256)) < 0.5
+    feat = tmp_path / "big.npy"
+    write_npy(feat, np.where(signs, -1.0, 1.0) * np.sqrt(0.6e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run(["score", feat, "--cutoff", 0.25])
+    assert code == 2
+    assert err == "alias-scope: error: spectral power overflows float64; rescale the features\n"
