@@ -11,12 +11,14 @@ center row lie in one (C, window, W) band of rows, so the map reads the
 features one band at a time, from a FeatureTensor in memory or from a
 FeatureFile on disk, and holds one band: from a file, each band row
 moves the rows it shares with the last up in place and reads only the
-new ones, so each row of the file is read once.
+new ones, so each row of the file is read once.  The map is kept as its
+window grid and the two nearest-center index vectors (WindowGrid), and
+is never whole.
 
 Binning takes its per-pixel inputs the same way, a block of rows at a
-time: the score map from memory or from its file (ScoreFile), the
-cross-entropy computed from probabilities in memory or in their file, and
-the masks from bools or from packed rows.
+time: the score map expanded from its window grid, from memory or from
+its file (ScoreFile), the cross-entropy computed from probabilities in
+memory or in their file, and the masks from bools or from packed rows.
 """
 
 from __future__ import annotations
@@ -31,16 +33,54 @@ import numpy as np
 
 from .antialias import CutoffSpec, aliasing_score
 from .arrays import BinaryMask, FeatureFile, FeatureTensor, LabelMask, ScoreFile, row_blocks
+from .arrays import pairwise_mean
 from .errors import ShapeError, SizeError, UndefinedRatioError, ValidationError
 from .segmetrics import BandPair, PackedMask, error_type_masks
+
+
+@dataclass(frozen=True)
+class WindowGrid:
+    """A score map as its window scores: the (len(ys), len(xs)) grid of
+    window-center scores, and for each pixel row and column the index of
+    its nearest center row and column.  The (H, W) map is expanded a block
+    of rows at a time and is never whole."""
+
+    scores: np.ndarray  # (len(ys), len(xs)) float
+    ny: np.ndarray  # (H,) center-row index of each pixel row
+    nx: np.ndarray  # (W,) center-column index of each pixel column
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.ny), len(self.nx)
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Rows y0 .. y1 - 1 of the map, expanded from the grid."""
+        return self.scores[np.ix_(self.ny[y0:y1], self.nx)]
+
+    def mean(self) -> float:
+        """`np.mean` of the expanded map, bit for bit, each leaf expanded
+        from the grid a run of one row at a time."""
+        width = len(self.nx)
+
+        def fill(out: np.ndarray, at: int) -> None:
+            y, x = divmod(at, width)
+            done = 0
+            while done < out.size:
+                n = min(width - x, out.size - done)
+                out[done : done + n] = self.scores[self.ny[y], self.nx[x : x + n]]
+                done, y, x = done + n, y + 1, 0
+
+        return pairwise_mean(len(self.ny) * width, fill)
+
 
 @dataclass(frozen=True)
 class ScoreMap:
     """Per-pixel score in [0, 1] plus the parameters that produced it.  The
-    (H, W) values are held in memory or left in their file; `rows` gives a
-    block of rows from either."""
+    (H, W) scores are held in memory, left in their file or kept as their
+    window grid; `rows` gives a block of rows and `mean` the mean of any of
+    them, and `values` expands or reads the whole map on demand."""
 
-    values: np.ndarray | ScoreFile  # (H, W) float
+    scores: np.ndarray | ScoreFile | WindowGrid  # (H, W) float
     window: int
     stride: int
     cutoff: float
@@ -48,7 +88,7 @@ class ScoreMap:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        return self.scores.shape
 
     @property
     def height(self) -> int:
@@ -58,11 +98,24 @@ class ScoreMap:
     def width(self) -> int:
         return self.shape[1]
 
+    @property
+    def values(self) -> np.ndarray:
+        """The whole (H, W) map, for library callers: the commands take
+        it a block of rows at a time."""
+        return self.rows(0, self.height)
+
     def rows(self, y0: int, y1: int) -> np.ndarray:
-        """Rows y0 .. y1 - 1, a view of the map in memory or read from its file."""
-        if isinstance(self.values, ScoreFile):
-            return self.values.rows(y0, y1)
-        return self.values[y0:y1]
+        """Rows y0 .. y1 - 1: a view of a map in memory, or read from its
+        file or expanded from its grid."""
+        if isinstance(self.scores, np.ndarray):
+            return self.scores[y0:y1]
+        return self.scores.rows(y0, y1)
+
+    def mean(self) -> float:
+        """The mean score, `np.mean`'s bits whatever holds the map."""
+        if isinstance(self.scores, np.ndarray):
+            return float(self.scores.mean())
+        return self.scores.mean()
 
     def metadata(self) -> dict:
         return {
@@ -98,7 +151,8 @@ def patch_aliasing_map(
     """Sliding-window aliasing scores spread to every pixel.
 
     Each window's per-channel-mean score lands on its center pixel;
-    pixels without a computed center take the nearest one.  The windows
+    pixels without a computed center take the nearest one.  The map is
+    returned as its window grid (WindowGrid), expanded on demand.  The windows
     are taken from one (C, window, W) band of rows per window row: views
     of a tensor in memory, or from a file one buffer that each band row
     refills once the pool has scored its windows, reading each row once
@@ -127,8 +181,8 @@ def patch_aliasing_map(
         for band, scores in zip(f.bands(ys, window), grid):
             scores[:] = list(pool.map(functools.partial(score_at, band), xs))
 
-    values = grid[np.ix_(_nearest(ys, window, h), _nearest(xs, window, w))]
-    return ScoreMap(values, window, stride, cutoff.cutoff)
+    spread = WindowGrid(grid, _nearest(ys, window, h), _nearest(xs, window, w))
+    return ScoreMap(spread, window, stride, cutoff.cutoff)
 
 
 class PixelCrossEntropy:

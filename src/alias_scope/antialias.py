@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import FeatureTensor
+from .arrays import FeatureTensor, channel_blocks
 from .errors import SpecError, UndefinedRatioError, ValidationError
 from .spectral import FreqGrid, Spectrum, fft2, power_spectrum
 
@@ -45,12 +45,24 @@ def flc_cutoff(stride: int) -> CutoffSpec:
 
 
 def band_power(spec: Spectrum, cutoff: CutoffSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(high-band power, total power) per channel; ValidationError on overflow."""
+    """(high-band power, total power) per channel; ValidationError on overflow.
+
+    |F|^2, its high-band gather and both sums are taken a block of whole
+    channels at a time, about 32768 power values and at least two channels
+    each (`channel_blocks`), so every per-channel sum keeps the bits of the
+    whole spectrum's and the power held does not grow with C.  numpy sums
+    a gather of two or more channels one step per bin, so each further
+    block adds a pass over the bins: smaller blocks cost time.  The
+    overflow check runs once, on the joined totals.
+    """
     mask = spec.grid.high_band(cutoff.cutoff)
+    high, total = np.empty(spec.channels), np.empty(spec.channels)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        power = power_spectrum(spec)
-        high = power[:, mask].sum(axis=1)
-        total = power.sum(axis=(1, 2))
+        for ch in channel_blocks(spec.coeffs.shape, 1 << 15, least=2):
+            power = power_spectrum(Spectrum(spec.coeffs[ch]))
+            high[ch] = power[:, mask].sum(axis=1)
+            total[ch] = power.sum(axis=(1, 2))
+            del power  # the next block's is made without this one
         check_power(total)
     return high, total
 

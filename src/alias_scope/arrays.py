@@ -244,6 +244,22 @@ def row_blocks(shape: tuple[int, ...], block: int = 1 << 16) -> list[slice]:
     return [slice(y, min(y + step, h)) for y in range(0, h, step)]
 
 
+def channel_blocks(shape: tuple[int, int, int], block: int = 1 << 16, least: int = 1) -> list[slice]:
+    """Slices of whole channels of a (C, H, W) grid: `row_blocks` over
+    (C, H*W) cuts them, about `block` elements and at least `least`
+    channels each, or all C if fewer, with a shorter last block joined to
+    the one before.
+
+    numpy lays out `band_power`'s high-band gather bin-major and sums it
+    pairwise for one channel but bin by bin for two or more, so `least=2`
+    keeps every per-channel sum of blocked `band_power` calls bit for bit."""
+    c, h, w = shape
+    cuts = row_blocks((c, h * w), max(block, least * h * w))
+    if len(cuts) > 1 and cuts[-1].stop - cuts[-1].start < least:
+        cuts[-2:] = [slice(cuts[-2].start, c)]
+    return cuts
+
+
 @dataclass(frozen=True)
 class FeatureTensor:
     """Real-valued (C, H, W) grid; every element finite.  `source`, the
@@ -444,16 +460,11 @@ class FeatureFile(NpyFile):
 
     def blocks(self, block: int = 1 << 16, least: int = 1):
         """Each block of whole channels, in order, as (channel slice,
-        FeatureTensor): `row_blocks` over (C, H*W) cuts them, about `block`
-        elements and at least `least` channels each, or all C if fewer,
-        with a shorter last block joined to the one before.  Each is one
-        read of the payload, checked to be finite."""
+        FeatureTensor), cut by `channel_blocks`.  Each is one read of the
+        payload, checked to be finite."""
         plane = self.height * self.width
-        cuts = row_blocks((self.channels, plane), max(block, least * plane))
-        if len(cuts) > 1 and cuts[-1].stop - cuts[-1].start < least:
-            cuts[-2:] = [slice(cuts[-2].start, self.channels)]
         with open(self.path, "rb") as fh:
-            for channels in cuts:
+            for channels in channel_blocks((self.channels, self.height, self.width), block, least):
                 data = np.empty((channels.stop - channels.start, self.height, self.width), self.dtype)
                 yield channels, FeatureTensor(self.read(fh, data, channels.start * plane), str(self.path))
                 del data  # the next block is read without this one
@@ -494,7 +505,7 @@ class FeatureFile(NpyFile):
         return FeatureTensor(out, str(self.path)).data  # checks the rows are finite, no copy
 
 
-PAIRWISE_LEAF = 1 << 16  # values per read of `ScoreFile.mean`, at least 128
+PAIRWISE_LEAF = 1 << 16  # values per leaf of `pairwise_mean`, at least 128
 
 
 class ScoreFile(NpyFile):
@@ -527,21 +538,17 @@ class ScoreFile(NpyFile):
         return out
 
     def mean(self) -> float:
-        """`np.mean` of the whole float64 map, bit for bit, from leaves of
-        `PAIRWISE_LEAF` values summed by `_pairwise_sum`; each leaf is
-        checked to be finite as it is read, and the range after the pass."""
-        count = math.prod(self.shape)
-        leaf, in_range = np.empty(min(count, PAIRWISE_LEAF)), []
-
-        def leaf_sum(at: int, n: int) -> float:
-            in_range.append(self._read_into(fh, leaf[:n], at))
-            return np.add.reduce(leaf[:n])
-
+        """`np.mean` of the whole float64 map, bit for bit, by
+        `pairwise_mean`; each leaf is checked to be finite as it is read,
+        and the range after the pass."""
+        in_range = []
         with open(self.path, "rb") as fh:
-            total = _pairwise_sum(0, count, leaf_sum)
+            mean = pairwise_mean(
+                math.prod(self.shape), lambda out, at: in_range.append(self._read_into(fh, out, at))
+            )
         if not all(in_range):
             raise ValidationError(f"{self.path}: score values must lie in [0, 1]")
-        return float(total / count)
+        return mean
 
     def _read_into(self, fh, out: np.ndarray, at: int) -> bool:
         """Fill float64 `out` from element `at` on, through a buffer in the
@@ -553,6 +560,20 @@ class ScoreFile(NpyFile):
             raise ValidationError(f"{self.path}: score map contains NaN/Inf")
         out[...] = raw  # no copy when `raw` is `out`
         return 0.0 <= out.min() and out.max() <= 1.0
+
+
+def pairwise_mean(count: int, fill) -> float:
+    """`np.mean` of `count` float64 values, bit for bit, without holding
+    them: `fill(out, at)` writes the values from index `at` on into `out`,
+    one buffer of at most `PAIRWISE_LEAF` values, and `_pairwise_sum` adds
+    the leaves up."""
+    leaf = np.empty(min(count, PAIRWISE_LEAF))
+
+    def leaf_sum(at: int, n: int) -> float:
+        fill(leaf[:n], at)
+        return np.add.reduce(leaf[:n])
+
+    return float(_pairwise_sum(0, count, leaf_sum) / count)
 
 
 def _pairwise_sum(at: int, n: int, leaf_sum) -> float:

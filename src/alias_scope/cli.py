@@ -276,14 +276,6 @@ def _curves_csv(curves: dict[str, list[dict]]) -> str:
     return buf.getvalue()
 
 
-def _external_score_map(path) -> tuple[float, ScoreMap]:
-    """The mean of the external score map, `np.mean`'s bits read a leaf at
-    a time, and the map left in its file, which binning reads again a block
-    of rows at a time: the map is never whole."""
-    scores = ScoreFile(path)
-    return scores.mean(), ScoreMap(scores, window=0, stride=0, cutoff=0.0, mode="external")
-
-
 def _band_width_for(band_width: int | None, shape: tuple[int, int]) -> int:
     if band_width is None:
         return default_band_width(*shape)
@@ -318,9 +310,7 @@ def cmd_score(args) -> None:
     config = {**_settings(args, "score_mode", "out_format"),
               "cutoff_source": source, "cutoff": cutoff}
     features, spec = FeatureFile(args.input), CutoffSpec(cutoff)
-    # band_power sums a one-channel gather of the high band pairwise and a
-    # wider one bin by bin, so blocks of two or more channels keep the
-    # whole tensor's bits
+    # blocks of two or more channels keep the whole tensor's bits (channel_blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # band_power reports an overflow
         powers = [band_power(fft2(f), spec) for _, f in features.blocks(least=2)]
         high, total = (np.concatenate(p) for p in zip(*powers))
@@ -454,19 +444,19 @@ def cmd_analyze(args) -> None:
     if bins < 2:
         raise InputError(f"bins must be >= 2, got {bins}")
     # every per-pixel input is read a block of rows at a time: the
-    # features a band of window rows, an external score map a leaf of
-    # values at a time for its mean and again in blocks to bin, and the
-    # probabilities as the cross-entropy of each block is binned
+    # features a band of window rows, the score map a leaf of values at a
+    # time for its mean and again in blocks to bin, read from its file or
+    # expanded from its window grid, and the probabilities as the
+    # cross-entropy of each block is binned: the map is never whole
     if args.features is not None:
         inputs["features"] = args.features
         score_map = patch_aliasing_map(
             FeatureFile(args.features), config["window"], config["stride"], CutoffSpec(cutoff)
         )
-        mean = float(score_map.values.mean())
     else:
         inputs["score"] = args.score
-        mean, score_map = _external_score_map(args.score)
-    result["score_map"] = {**score_map.metadata(), "mean": mean}
+        score_map = ScoreMap(ScoreFile(args.score), window=0, stride=0, cutoff=0.0, mode="external")
+    result["score_map"] = {**score_map.metadata(), "mean": score_map.mean()}
 
     gt = None
     if args.gt is not None:

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from alias_scope import analysis, arrays
 from alias_scope.analysis import (
     ScoreMap,
+    WindowGrid,
+    _nearest,
+    _window_starts,
     bin_by_score,
     error_type_distribution,
     patch_aliasing_map,
@@ -226,6 +229,64 @@ def test_banded_map_reads_each_row_once(tmp_path, monkeypatch, window, stride):
     assert sorted(reads) == [(ch, y) for ch in range(c) for y in range(h)]
     whole = patch_aliasing_map(FeatureTensor(data), window, stride, QUARTER)
     assert np.array_equal(banded.values, whole.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.integers(1, 600),
+    st.integers(1, 48),
+    st.integers(1, 48),
+    st.integers(0, 2**32 - 1),
+)
+@example(512, 384, 32, 16, 0)  # four leaves of 49152 values
+@example(257, 511, 7, 5, 1)  # 131327 values: four leaves that start mid-row
+@example(1, 70001, 1, 1, 2)  # one row wider than a leaf
+@example(3, 5, 3, 2, 3)  # fewer values than a leaf
+def test_window_grid_rows_and_mean_match_the_expanded_map(h, w, window, stride, seed):
+    # the map kept as its window grid gives the rows of the whole (H, W)
+    # map it spreads to, and np.mean's bits for its mean, also for maps of
+    # several leaves and sizes that are not a multiple of 8
+    window = min(window, h, w)
+    ys, xs = _window_starts(h, window, stride), _window_starts(w, window, stride)
+    rng = np.random.default_rng(seed)
+    grid = rng.uniform(0.0, 1.0, (len(ys), len(xs)))
+    ny, nx = _nearest(ys, window, h), _nearest(xs, window, w)
+    score = ScoreMap(WindowGrid(grid, ny, nx), window, stride, 0.25)
+    # C order, as the whole map was built and np.mean summed it
+    expanded = grid[ny[:, None], nx[None, :]]
+    assert score.shape == (h, w)
+    assert np.array_equal(score.values, expanded)
+    for y0, y1 in [(0, h), *np.sort(rng.integers(0, h + 1, (3, 2)), axis=1)]:
+        assert np.array_equal(score.rows(y0, y1), expanded[y0:y1])
+    assert score.mean() == np.mean(expanded)
+
+
+def test_features_map_is_kept_as_its_window_grid(monkeypatch):
+    # `analyze --features` bins and averages the map without expanding it whole
+    f = FeatureTensor(np.random.default_rng(4).standard_normal((2, 40, 72)))
+    score = patch_aliasing_map(f, 8, 12, QUARTER)
+    assert isinstance(score.scores, WindowGrid)
+    assert score.scores.scores.shape == (4, 7)  # rows 8-11 and 20-23 in no window
+    assert score.mean() == np.mean(score.values)
+
+    def whole(self):
+        raise AssertionError("the whole map was expanded")
+
+    monkeypatch.setattr(ScoreMap, "values", property(whole))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.npy" for name in ("feat", "probs", "gt")}
+        write_npy(paths["feat"], f.data)
+        write_npy(paths["probs"], np.full((2, 40, 72), 0.5))
+        gt = np.zeros((40, 72), np.uint8)
+        gt[:, 30:60] = 1
+        write_npy(paths["gt"], gt)
+        argv = ["analyze", "--features", paths["feat"], "--probs", paths["probs"],
+                "--pred", paths["gt"], "--gt", paths["gt"], "--cutoff", "0.25",
+                "--window", "8", "--stride-px", "12"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([str(a) for a in argv]) == 0
+    assert json.loads(out.getvalue())["result"]["score_map"]["mean"] == score.mean()
 
 
 def test_banded_map_reports_a_band_before_reading_the_next(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alias_scope.antialias import (
@@ -13,10 +13,17 @@ from alias_scope.antialias import (
     daf,
     flc_cutoff,
 )
-from alias_scope.arrays import FeatureTensor
+from alias_scope.arrays import FeatureTensor, channel_blocks
 from alias_scope.errors import SpecError, UndefinedRatioError, ValidationError
 from alias_scope.sampling import subsample
-from alias_scope.spectral import Spectrum, dft2_naive, fft2, ifft2, signed_frequencies
+from alias_scope.spectral import (
+    Spectrum,
+    dft2_naive,
+    fft2,
+    ifft2,
+    power_spectrum,
+    signed_frequencies,
+)
 from alias_scope.synth import one_over_f, tone, white_noise
 
 QUARTER = CutoffSpec(0.25)
@@ -69,6 +76,56 @@ def test_score_modes_disagree_when_channels_differ():
 def test_score_bad_mode():
     with pytest.raises(SpecError):
         aliasing_score(rand_tensor((1, 4, 4), 0), QUARTER, mode="median")
+
+
+def _whole_band_power(spec, cutoff):
+    """The unblocked sums: one (C, H, W) |F|^2 and one gather of its high band."""
+    power = power_spectrum(spec)
+    return power[:, spec.grid.high_band(cutoff.cutoff)].sum(axis=1), power.sum(axis=(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from(["<f4", "<f8"]),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.integers(1, 9 * 40 * 40),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 40, 40, "<f8", 0.25, 1, 0)  # one channel: no block to join
+@example(9, 33, 17, "<f4", 0.1, 1, 1)  # blocks of two, the last of three
+def test_band_power_equals_its_blocks(c, h, w, dtype, cutoff, block, seed):
+    # blocks of at least two channels, cut as `score` and band_power cut
+    # them, give every per-channel sum the whole spectrum's bits
+    spec = fft2(FeatureTensor(np.random.default_rng(seed).standard_normal((c, h, w)).astype(dtype)))
+    spec_cut = CutoffSpec(cutoff)
+    high, total = band_power(spec, spec_cut)
+    blocks = [band_power(Spectrum(spec.coeffs[ch]), spec_cut)
+              for ch in channel_blocks((c, h, w), block, least=2)]
+    for whole, joined, unblocked in zip((high, total), zip(*blocks), _whole_band_power(spec, spec_cut)):
+        assert np.array_equal(whole, np.concatenate(joined))
+        assert np.array_equal(whole, unblocked)
+
+
+@pytest.mark.parametrize("cutoff", [0.1, 0.25, 0.5])
+def test_band_power_blocks_keep_whole_bits_at_window_size(cutoff):
+    # the score map's windows: 64 channels of 32 x 32 are two blocks
+    spec = fft2(rand_tensor((64, 32, 32), 3))
+    got = band_power(spec, CutoffSpec(cutoff))
+    for blocked, whole in zip(got, _whole_band_power(spec, CutoffSpec(cutoff))):
+        assert np.array_equal(blocked, whole)
+
+
+def test_band_power_overflow_checked_on_joined_totals():
+    # constant channels hold all their power, 4e306 each, at DC: the 32
+    # channels of each block sum to a finite total, the 64 of both do not
+    spec = fft2(FeatureTensor(np.full((64, 32, 32), 2.0e153)))
+    assert all(np.isfinite(band_power(Spectrum(spec.coeffs[ch]), QUARTER)[1].sum())
+               for ch in channel_blocks(spec.coeffs.shape, 1 << 15, least=2))
+    with pytest.raises(ValidationError, match="overflows"):
+        band_power(spec, QUARTER)
 
 
 def test_cutoff_validation():

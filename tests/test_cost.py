@@ -107,7 +107,7 @@ def streamed(feat, out):
     in MiB)."""
     cutoff = ["--cutoff", 0.25]
     return {
-        "score": (["score", feat, *cutoff], 2.55),
+        "score": (["score", feat, *cutoff], 2.1),
         "daf": (["daf", feat, *cutoff, "--out", out / "daf.npy"], 1.5),
         "split": (["split", feat, *cutoff, "--out-low", out / "low.npy",
                    "--out-high", out / "high.npy"], 1.5),
@@ -189,15 +189,31 @@ def test_streamed_peak_independent_of_channel_count(tmp_path, command):
     assert peaks[64] <= 1.25 * peaks[4], f"{peaks[4] / MIB:.2f} MiB at C=4, {peaks[64] / MIB:.2f} at 64"
 
 
+def features_peaks(tmp_path, shapes) -> list[int]:
+    """The traced peak of `analyze --features` on `<f4` features of each shape."""
+    peaks = []
+    for i, shape in enumerate(shapes):
+        path = tmp_path / f"feat{i}.npy"
+        write_npy(path, np.random.default_rng(i).standard_normal(shape).astype("<f4"))
+        peaks.append(traced_peak(["analyze", "--features", path, "--cutoff", 0.25]))
+    return peaks
+
+
 def test_features_peak_independent_of_height(tmp_path):
-    # the features are read one band of window rows at a time, so beyond
-    # the (H, W) float64 map it returns, the peak at H = 1024 is that at 128
-    peaks = {}
-    for h in (128, 1024):
-        path = tmp_path / f"feat{h}.npy"
-        write_npy(path, np.random.default_rng(h).standard_normal((8, h, 256)).astype("<f4"))
-        peaks[h] = traced_peak(["analyze", "--features", path, "--cutoff", 0.25]) - h * 256 * 8
-    assert peaks[1024] <= 1.25 * peaks[128], f"{peaks[128] / MIB:.2f} MiB at H=128, {peaks[1024] / MIB:.2f} at 1024"
+    # the features are read one band of window rows at a time and the map
+    # is kept as its window grid, so the peak at H = 1024 is that at 128
+    few, many = features_peaks(tmp_path, [(8, 128, 256), (8, 1024, 256)])
+    assert many <= 1.25 * few, f"{few / MIB:.2f} MiB at H=128, {many / MIB:.2f} at 1024"
+
+
+def test_features_peak_grows_in_width_by_its_band(tmp_path):
+    # the (C, window, W) band of rows grows with W, and on its first read
+    # so does the mask of its finiteness check: 5 bytes per <f4 value.
+    # Nothing else may grow: the whole (H, W) map took 8 bytes per pixel
+    narrow, wide = features_peaks(tmp_path, [(8, 128, 256), (8, 128, 2048)])
+    band_growth = 5 * 8 * 32 * (2048 - 256)  # the default window is 32 rows
+    growth = wide - narrow
+    assert growth <= 1.1 * band_growth, f"{growth / MIB:.2f} MiB, band {band_growth / MIB:.2f}"
 
 
 def test_probs_peak_independent_of_channel_count(tmp_path):

@@ -21,6 +21,7 @@ from alias_scope.antialias import (
     _BINOMIAL_ROWS,
     CutoffSpec,
     add_gaussian_noise,
+    band_power,
     binomial_blur,
     daf,
 )
@@ -194,6 +195,15 @@ def test_fft2_holds_one_complex_buffer():
     complex_buffer = data.size * 16
     # out of place this was a float64 cast plus one complex array per axis
     assert traced_peak(fft2, f) <= 1.25 * complex_buffer
+
+
+def test_band_power_holds_a_block_of_channels():
+    # a score-map window: the power and high-band gather of one block of
+    # 32 channels, 0.89 of the whole (C, H, W) float64 power array, which
+    # with its gather of all 64 channels made 1.75
+    spec = fft2(FeatureTensor(tensor((64, 32, 32), "<f4")))
+    power_array = 64 * 32 * 32 * 8
+    assert traced_peak(band_power, spec, CutoffSpec(0.25)) < power_array
 
 
 def test_daf_holds_one_working_buffer():
