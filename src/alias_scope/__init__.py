@@ -25,7 +25,7 @@ from .arrays import (
 from .analysis import (
     BinnedCurve,
     PixelCrossEntropy,
-    ScoreMap,
+    WindowGrid,
     bin_by_score,
     error_type_distribution,
     patch_aliasing_map,
@@ -52,7 +52,6 @@ from .sampling import (
     subsample,
 )
 from .segmetrics import (
-    BoundaryBand,
     boundary_acc,
     boundary_band,
     boundary_iou,

@@ -2,23 +2,24 @@
 cross-entropy, and binned statistics linking the two.
 
 The per-pixel score map is a declared reconstruction: scores are computed
-on sliding windows (window/stride/cutoff recorded in the map metadata),
-assigned to window centers, and spread to the remaining pixels by nearest
-computed center.  The centers form a grid (center rows x center columns),
-so a pixel's nearest center is its nearest center row crossed with its
-nearest center column, ties going to the lower one.  The windows of one
-center row lie in one (C, window, W) band of rows, so the map reads the
-features one band at a time, from a FeatureTensor in memory or from a
-FeatureFile on disk, and holds one band: from a file, each band row
-moves the rows it shares with the last up in place and reads only the
+on sliding windows (the `analyze` report records window, stride and
+cutoff), assigned to window centers, and spread to the remaining pixels
+by nearest computed center.  The centers form a grid (center rows x
+center columns), so a pixel's nearest center is its nearest center row
+crossed with its nearest center column, ties going to the lower one.  The
+windows of one center row lie in one (C, window, W) band of rows, so the
+map reads the features one band at a time, from a FeatureTensor in memory
+or from a FeatureFile on disk, and holds one band: from a file, each band
+row moves the rows it shares with the last up in place and reads only the
 new ones, so each row of the file is read once.  The map is kept as its
 window grid and the two nearest-center index vectors (WindowGrid), and
 is never whole.
 
 Binning takes its per-pixel inputs the same way, a block of rows at a
-time: the score map expanded from its window grid, from memory or from
-its file (ScoreFile), the cross-entropy computed from probabilities in
-memory or in their file, and the masks from bools or from packed rows.
+time: the score map expanded from its WindowGrid or read from its file
+(ScoreFile), both of which give `shape`, `rows` and `mean`, the
+cross-entropy computed from probabilities in memory or in their file, and
+the masks from bools or from packed rows.
 """
 
 from __future__ import annotations
@@ -72,58 +73,11 @@ class WindowGrid:
 
         return pairwise_mean(len(self.ny) * width, fill)
 
-
-@dataclass(frozen=True)
-class ScoreMap:
-    """Per-pixel score in [0, 1] plus the parameters that produced it.  The
-    (H, W) scores are held in memory, left in their file or kept as their
-    window grid; `rows` gives a block of rows and `mean` the mean of any of
-    them, and `values` expands or reads the whole map on demand."""
-
-    scores: np.ndarray | ScoreFile | WindowGrid  # (H, W) float
-    window: int
-    stride: int
-    cutoff: float
-    mode: str = "per_channel_mean"
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.scores.shape
-
-    @property
-    def height(self) -> int:
-        return self.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.shape[1]
-
     @property
     def values(self) -> np.ndarray:
         """The whole (H, W) map, for library callers: the commands take
         it a block of rows at a time."""
-        return self.rows(0, self.height)
-
-    def rows(self, y0: int, y1: int) -> np.ndarray:
-        """Rows y0 .. y1 - 1: a view of a map in memory, or read from its
-        file or expanded from its grid."""
-        if isinstance(self.scores, np.ndarray):
-            return self.scores[y0:y1]
-        return self.scores.rows(y0, y1)
-
-    def mean(self) -> float:
-        """The mean score, `np.mean`'s bits whatever holds the map."""
-        if isinstance(self.scores, np.ndarray):
-            return float(self.scores.mean())
-        return self.scores.mean()
-
-    def metadata(self) -> dict:
-        return {
-            "window": self.window,
-            "stride": self.stride,
-            "cutoff": self.cutoff,
-            "mode": self.mode,
-        }
+        return self.rows(0, len(self.ny))
 
 
 def _window_starts(extent: int, window: int, stride: int) -> list[int]:
@@ -147,7 +101,7 @@ def _nearest(starts: list[int], window: int, extent: int) -> np.ndarray:
 
 def patch_aliasing_map(
     f: FeatureTensor | FeatureFile, window: int, stride: int, cutoff: CutoffSpec
-) -> ScoreMap:
+) -> WindowGrid:
     """Sliding-window aliasing scores spread to every pixel.
 
     Each window's per-channel-mean score lands on its center pixel;
@@ -181,8 +135,7 @@ def patch_aliasing_map(
         for band, scores in zip(f.bands(ys, window), grid):
             scores[:] = list(pool.map(functools.partial(score_at, band), xs))
 
-    spread = WindowGrid(grid, _nearest(ys, window, h), _nearest(xs, window, w))
-    return ScoreMap(spread, window, stride, cutoff.cutoff)
+    return WindowGrid(grid, _nearest(ys, window, h), _nearest(xs, window, w))
 
 
 class PixelCrossEntropy:
@@ -235,7 +188,6 @@ def pixel_cross_entropy(probs: FeatureTensor | FeatureFile, gt: LabelMask) -> np
 class BinnedCurve:
     """Equal-width bins over [0, 1] with per-bin counts and means."""
 
-    edges: np.ndarray
     counts: np.ndarray
     means: np.ndarray  # NaN where empty
     type_counts: dict[str, np.ndarray] = field(default_factory=dict)
@@ -244,12 +196,16 @@ class BinnedCurve:
     def n_bins(self) -> int:
         return len(self.counts)
 
+    @property
+    def edges(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n_bins + 1)
+
     def rows(self) -> list[dict]:
-        out = []
+        out, edges = [], self.edges
         for i in range(self.n_bins):
             row = {
-                "bin_lo": float(self.edges[i]),
-                "bin_hi": float(self.edges[i + 1]),
+                "bin_lo": float(edges[i]),
+                "bin_hi": float(edges[i + 1]),
                 "count": int(self.counts[i]),
                 "mean": None if np.isnan(self.means[i]) else float(self.means[i]),
             }
@@ -266,7 +222,7 @@ def _bin_index(scores: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def bin_by_score(
-    score: ScoreMap,
+    score: WindowGrid | ScoreFile,
     value: np.ndarray | PixelCrossEntropy,
     mask: BinaryMask | PackedMask,
     n_bins: int = 20,
@@ -296,12 +252,11 @@ def bin_by_score(
         counts += np.bincount(idx, minlength=n_bins)
         np.add.at(sums, idx, vals[select])
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    return BinnedCurve(edges, counts, means)
+    return BinnedCurve(counts, means)
 
 
 def _count_by_bin(
-    score: ScoreMap,
+    score: WindowGrid | ScoreFile,
     masks: dict[str, BinaryMask | PackedMask],
     n_bins: int,
     block: int = 1 << 16,
@@ -323,7 +278,7 @@ def _count_by_bin(
 
 def error_type_distribution(
     pairs: Iterable[tuple[int, BandPair]],
-    score: ScoreMap,
+    score: WindowGrid | ScoreFile,
     n_bins: int = 20,
 ) -> BinnedCurve:
     """Histogram of boundary error types per score bin.
@@ -333,7 +288,6 @@ def error_type_distribution(
     """
     if n_bins < 2:
         raise SizeError("n_bins must be >= 2")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
     type_counts = _count_by_bin(score, error_type_masks(pairs, score.shape), n_bins)
     counts = sum(type_counts.values())
-    return BinnedCurve(edges, counts, np.full(n_bins, np.nan), type_counts)
+    return BinnedCurve(counts, np.full(n_bins, np.nan), type_counts)

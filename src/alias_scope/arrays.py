@@ -296,6 +296,10 @@ class FeatureTensor:
     def width(self) -> int:
         return self.data.shape[2]
 
+    def blocks(self):
+        """The whole tensor as one block of channels, like `FeatureFile.blocks`."""
+        yield slice(0, self.channels), self
+
     def rows(self, y0: int, y1: int) -> np.ndarray:
         """Rows y0 .. y1 - 1 of every channel, as a (C, y1 - y0, W) view."""
         return self.data[:, y0:y1]

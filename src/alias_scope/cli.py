@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     PixelCrossEntropy,
-    ScoreMap,
     bin_by_score,
     error_type_distribution,
     patch_aliasing_map,
@@ -61,8 +60,8 @@ from .errors import InputError, InternalError, ValidationError
 from .freqmix import (
     FreqMixParams,
     FreqMixWeights,
-    channel_means,
     freqmix_apply,
+    freqmix_predict_weights,
     frequency_split,
 )
 from .sampling import (
@@ -392,10 +391,7 @@ def cmd_freqmix(args) -> None:
     if args.weights_dir is not None:
         weights = FreqMixWeights.from_npy_dir(args.weights_dir)
     else:
-        params = FreqMixParams.from_npy_dir(args.params_dir)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf mean saturates a gain
-            means = channel_means(block for _, block in features.blocks())
-        weights = params.predict(*means)
+        weights = freqmix_predict_weights(features, FreqMixParams.from_npy_dir(args.params_dir))
     weights.check_against(features.shape)
     spec = CutoffSpec(cutoff)
     _stream(args, features, [_require_out(args)],
@@ -450,13 +446,15 @@ def cmd_analyze(args) -> None:
     # cross-entropy of each block is binned: the map is never whole
     if args.features is not None:
         inputs["features"] = args.features
-        score_map = patch_aliasing_map(
-            FeatureFile(args.features), config["window"], config["stride"], CutoffSpec(cutoff)
-        )
+        window, stride = config["window"], config["stride"]
+        score_map = patch_aliasing_map(FeatureFile(args.features), window, stride, CutoffSpec(cutoff))
+        result["score_map"] = {"window": window, "stride": stride, "cutoff": cutoff,
+                               "mode": "per_channel_mean"}
     else:
         inputs["score"] = args.score
-        score_map = ScoreMap(ScoreFile(args.score), window=0, stride=0, cutoff=0.0, mode="external")
-    result["score_map"] = {**score_map.metadata(), "mean": score_map.mean()}
+        score_map = ScoreFile(args.score)
+        result["score_map"] = {"window": 0, "stride": 0, "cutoff": 0.0, "mode": "external"}
+    result["score_map"]["mean"] = score_map.mean()
 
     gt = None
     if args.gt is not None:

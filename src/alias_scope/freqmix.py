@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .antialias import CutoffSpec, daf
-from .arrays import FeatureTensor, read_npy
+from .arrays import FeatureFile, FeatureTensor, read_npy
 from .errors import ShapeError
 
 WEIGHT_FIELDS = (
@@ -224,8 +224,13 @@ def channel_means(blocks) -> tuple[np.ndarray, np.ndarray]:
     return pooled, total / len(pooled)
 
 
-def freqmix_predict_weights(f: FeatureTensor, params: FreqMixParams) -> FreqMixWeights:
+def freqmix_predict_weights(
+    f: FeatureTensor | FeatureFile, params: FreqMixParams
+) -> FreqMixWeights:
     """Predict logits from the tensor itself: `FreqMixParams.predict` of
     its `channel_means`, the fc of the global average pool and the k x k
-    conv of the channel-mean map, per band."""
-    return params.predict(*channel_means([f]))
+    conv of the channel-mean map, per band.  The means are taken over
+    `f.blocks()`, one block of channels at a time from a file."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf mean saturates a gain
+        means = channel_means(block for _, block in f.blocks())
+    return params.predict(*means)

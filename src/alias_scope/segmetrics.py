@@ -22,8 +22,9 @@ one pair.  A band is the contour dilated by the radius-d disk of integer
 offsets, built from shifted ORs on bit-packed rows (`boundary_band`); no
 distance transform is computed.  `pack_rows` fixes the one packed layout, 64
 pixels per little-endian uint64 word; bands stay in it up to the counts, and
-no other module reads or writes it: `BandUnion` and `error_type_masks` hand
-out a `PackedMask`, which unpacks a block of rows at a time.
+no other module reads or writes it: `boundary_band`, `BandUnion` and
+`error_type_masks` hand out a `PackedMask`, which unpacks a block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -133,21 +134,11 @@ def contour(mask: BinaryMask) -> BinaryMask:
     return BinaryMask(unpack_rows(_contour_words(pack_rows(mask.bits)), mask.width))
 
 
-@dataclass(frozen=True)
-class BoundaryBand:
-    """A mask and the pixels within Euclidean distance d of its contour
-    (two-sided), as `pack_rows` words of a `width`-column image."""
-
-    mask_words: np.ndarray
-    words: np.ndarray
-    width: int
-
-    @property
-    def band(self) -> BinaryMask:
-        return BinaryMask(unpack_rows(self.words, self.width))
+def _packed(mask: BinaryMask | PackedMask) -> PackedMask:
+    return mask if isinstance(mask, PackedMask) else PackedMask(pack_rows(mask.bits), mask.width)
 
 
-def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) -> BoundaryBand:
+def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) -> PackedMask:
     """Union of the contour shifted by every integer offset (dy, dx) with
     dy^2 + dx^2 <= d^2, which is the set of pixels within Euclidean
     distance d of a contour pixel.
@@ -164,15 +155,15 @@ def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) ->
     stop at the image extent.  Everything runs on `pack_rows` words, 64
     pixels per uint64, and the band stays packed: about 2*min(d, H-1)
     row-slice ORs plus three word ops per distinct half-width,
-    O(d*H*W/64) word operations.  A `PackedMask` is used as it is.
+    O(d*H*W/64) word operations.  A `PackedMask` is used as it is, and the
+    band comes back as one.
     """
     if d < 1:
         raise ShapeError(f"band width must be >= 1, got {d}")
     h, w = mask.shape
-    packed = mask.words if isinstance(mask, PackedMask) else pack_rows(mask.bits)
-    right = _contour_words(packed)
+    right = _contour_words(_packed(mask).words)
     if not right.any():
-        return BoundaryBand(packed, np.zeros_like(packed), w)
+        return PackedMask(np.zeros_like(right), w)
     left, run = right.copy(), right
     band = np.zeros_like(run)
     width = 0
@@ -191,7 +182,7 @@ def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) ->
         else:
             band |= run
     band[:, -1] &= np.uint64((2**64 - 1) >> (-w % 64))  # `right` spilled into padding
-    return BoundaryBand(packed, band, w)
+    return PackedMask(band, w)
 
 
 @dataclass(frozen=True)
@@ -272,8 +263,8 @@ class BandPair:
 def band_pair(pred: BinaryMask | PackedMask, gt: BinaryMask | PackedMask, d: int) -> BandPair:
     if pred.shape != gt.shape:
         raise ShapeError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    p, g = boundary_band(pred, d), boundary_band(gt, d)
-    return BandPair(p.mask_words, g.mask_words, p.words, g.words, p.width)
+    p, g = _packed(pred), _packed(gt)
+    return BandPair(p.words, g.words, boundary_band(p, d).words, boundary_band(g, d).words, p.width)
 
 
 def relevant_classes(pred: LabelMask, gt: LabelMask) -> list[int]:

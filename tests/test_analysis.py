@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from alias_scope import analysis, arrays
 from alias_scope.analysis import (
-    ScoreMap,
     WindowGrid,
     _nearest,
     _window_starts,
@@ -35,8 +34,9 @@ QUARTER = CutoffSpec(0.25)
 
 
 def uniform_score_map(values):
+    # every pixel its own center: rows and mean keep the array's bits
     values = np.asarray(values, dtype=np.float64)
-    return ScoreMap(values, window=4, stride=2, cutoff=0.25)
+    return WindowGrid(values, np.arange(values.shape[0]), np.arange(values.shape[1]))
 
 
 # --- patch score map
@@ -77,12 +77,6 @@ def test_patch_map_window_too_large():
 def test_patch_map_metadata():
     f = FeatureTensor(np.random.default_rng(1).standard_normal((1, 8, 8)))
     score = patch_aliasing_map(f, window=4, stride=2, cutoff=QUARTER)
-    assert score.metadata() == {
-        "window": 4,
-        "stride": 2,
-        "cutoff": 0.25,
-        "mode": "per_channel_mean",
-    }
     assert np.all(score.values >= 0.0) and np.all(score.values <= 1.0)
 
 
@@ -181,7 +175,6 @@ def test_banded_map_equals_in_memory_map(dtype, flat, c, h, w, window, stride, z
         banded = patch_aliasing_map(FeatureFile(path), window, stride, QUARTER)
     whole = patch_aliasing_map(FeatureTensor(data), window, stride, QUARTER)
     assert np.array_equal(banded.values, whole.values)
-    assert banded.metadata() == whole.metadata()
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,7 +245,7 @@ def test_window_grid_rows_and_mean_match_the_expanded_map(h, w, window, stride, 
     rng = np.random.default_rng(seed)
     grid = rng.uniform(0.0, 1.0, (len(ys), len(xs)))
     ny, nx = _nearest(ys, window, h), _nearest(xs, window, w)
-    score = ScoreMap(WindowGrid(grid, ny, nx), window, stride, 0.25)
+    score = WindowGrid(grid, ny, nx)
     # C order, as the whole map was built and np.mean summed it
     expanded = grid[ny[:, None], nx[None, :]]
     assert score.shape == (h, w)
@@ -266,14 +259,14 @@ def test_features_map_is_kept_as_its_window_grid(monkeypatch):
     # `analyze --features` bins and averages the map without expanding it whole
     f = FeatureTensor(np.random.default_rng(4).standard_normal((2, 40, 72)))
     score = patch_aliasing_map(f, 8, 12, QUARTER)
-    assert isinstance(score.scores, WindowGrid)
-    assert score.scores.scores.shape == (4, 7)  # rows 8-11 and 20-23 in no window
+    assert isinstance(score, WindowGrid)
+    assert score.scores.shape == (4, 7)  # rows 8-11 and 20-23 in no window
     assert score.mean() == np.mean(score.values)
 
     def whole(self):
         raise AssertionError("the whole map was expanded")
 
-    monkeypatch.setattr(ScoreMap, "values", property(whole))
+    monkeypatch.setattr(WindowGrid, "values", property(whole))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: Path(tmp) / f"{name}.npy" for name in ("feat", "probs", "gt")}
         write_npy(paths["feat"], f.data)
@@ -463,7 +456,7 @@ def test_distribution_empty_prediction_all_merging():
     score = uniform_score_map(np.full((8, 8), 0.1))
     curve = error_type_distribution(class_band_pairs(pred, gt, 1), score, n_bins=4)
     # class 0 covers everything in pred, so only the class-1 bands count
-    g_d = boundary_band(BinaryMask(gt.data == 1), 1).band.count()
+    g_d = boundary_band(BinaryMask(gt.data == 1), 1).rows(0, 8).sum()
     assert curve.type_counts["merging"].sum() + curve.type_counts[
         "displacement"
     ].sum() + curve.type_counts["false_response"].sum() == curve.counts.sum()

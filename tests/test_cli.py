@@ -407,7 +407,10 @@ def test_analyze_external_score_map(capsys, tmp_path):
         "--score", score, "--pred", pred_path, "--gt", gt_path,
         "--bins", 4, "--band-width", 1,
     )
-    assert report["result"]["score_map"]["mode"] == "external"
+    score_map = report["result"]["score_map"]
+    assert score_map.pop("mean") == 0.5
+    assert score_map == {"window": 0, "stride": 0, "cutoff": 0.0, "mode": "external"}
+    assert type(score_map["cutoff"]) is float
 
 
 def _bad_features(tmp_path, fault):
@@ -1367,10 +1370,15 @@ def test_cli_fuzz_config_files(command_argv, command, text):
     elif out.startswith("curve,"):
         assert command == "analyze"
     else:
-        config = json.loads(out, parse_constant=_reject_constant)["config"]
+        report = json.loads(out, parse_constant=_reject_constant)
+        config = report["config"]
         assert set(config) == REPORT_CONFIG[command]
         assert config.get("score_mode", "global") in ("per_channel_mean", "global")
         assert config["out_format"] == "json"
+        if command == "analyze":  # the map was made with the settings the report records
+            score_map = report["result"]["score_map"]
+            assert [score_map[k] for k in ("window", "stride", "cutoff")] == [
+                config[k] for k in ("window", "stride", "cutoff")]
 
 
 def _outputs(argv):

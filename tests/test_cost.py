@@ -18,12 +18,15 @@ reads and window scores overlapped in time.
 
 import contextlib
 import io
+import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from alias_scope import arrays
 from alias_scope.arrays import write_npy
 from alias_scope.cli import main
 from alias_scope.freqmix import PARAM_FIELDS, WEIGHT_FIELDS
@@ -243,3 +246,44 @@ def test_score_map_peak_below_the_map(tmp_path):
     write_npy(pred, np.roll(labels(4, shape), 5, axis=1))
     peak = traced_peak(["analyze", "--score", score, "--pred", pred, "--gt", gt])
     assert peak < np.prod(shape) * 8, f"peak {peak / MIB:.2f} MiB"
+
+
+# the inputs read more than once, by command: the params head's features
+# once for the channel means and once to mix, and an external map once for
+# its mean and once per curve
+READ_TWICE_OR_MORE = {
+    "freqmix --params-dir": {"feat": 2},
+    "analyze --score": {"score": 2},
+    "analyze --score --probs": {"score": 3},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_input_read_once_per_pass(files, monkeypatch, command):
+    # the bytes each command reads through NpyFile.read, per input, as a
+    # multiple of that input's payload: every input once, except the
+    # passes named in READ_TWICE_OR_MORE
+    argv = [str(a) for a in cases(files)[command][0]]
+    inputs = {}
+    for flag, arg in zip(["", *argv], map(Path, argv)):
+        if arg.is_dir():
+            inputs.update((path, 1) for path in arg.glob("*.npy"))
+        elif arg.suffix == ".npy" and flag not in ("--out", "--out-low", "--out-high", "--map-out"):
+            inputs[arg] = 1
+    for name, times in READ_TWICE_OR_MORE.get(command, {}).items():
+        inputs[files[name]] = times
+    read = dict.fromkeys(inputs, 0)
+    real = arrays.NpyFile.read
+
+    def counting(self, fh, out, at):
+        read[Path(self.path)] = read.get(Path(self.path), 0) + out.nbytes
+        return real(self, fh, out, at)
+
+    monkeypatch.setattr(arrays.NpyFile, "read", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    payload = {}
+    for path in read:
+        npy = arrays.NpyFile(path)
+        payload[path] = math.prod(npy.shape) * npy.dtype.itemsize
+    assert {path: n / payload[path] for path, n in read.items()} == inputs

@@ -256,22 +256,24 @@ def test_channel_means_are_numpy_means_bit_for_bit(c, h, w, dtype, block, seed):
     rng = np.random.default_rng(seed)
     data = (rng.standard_normal((c, h, w)) * 10.0 ** rng.integers(-3, 4, (c, 1, 1))).astype(dtype)
     data64 = data.astype(np.float64)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "f.npy"
-        write_npy(path, data)
-        pooled, mean_map = channel_means(b for _, b in FeatureFile(path).blocks(block))
-    assert pooled.tobytes() == data64.mean(axis=(1, 2)).tobytes()
-    assert mean_map.tobytes() == data64.mean(axis=0).tobytes()
     params = FreqMixParams(
         rng.standard_normal((c, c)), rng.standard_normal(c),
         rng.standard_normal((c, c)), rng.standard_normal(c),
         rng.standard_normal((3, 3)), 0.4,
         rng.standard_normal((3, 3)), -0.1,
     )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.npy"
+        write_npy(path, data)
+        pooled, mean_map = channel_means(b for _, b in FeatureFile(path).blocks(block))
+        from_file = freqmix_predict_weights(FeatureFile(path), params)
+    assert pooled.tobytes() == data64.mean(axis=(1, 2)).tobytes()
+    assert mean_map.tobytes() == data64.mean(axis=0).tobytes()
     whole = freqmix_predict_weights(FeatureTensor(data), params)
     want = params.predict(data64.mean(axis=(1, 2)), data64.mean(axis=0))
     for name in WEIGHT_FIELDS:
         assert getattr(whole, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(from_file, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def _reflect_index(i, n):
