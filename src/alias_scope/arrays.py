@@ -9,13 +9,14 @@ Every read goes through one NpyFile, which checks the header and payload
 size on opening and reads runs of the payload: read_npy reads it whole,
 FeatureFile reads a feature tensor a block of channels or a band of rows
 at a time, ScoreFile reads a score map in blocks, and
-LabelMask.from_npy reads a label mask whole.  FeatureFile and
-LabelMask.from_npy type a file from its header by one set of rules,
-before any payload is read, and every check of a file's values names
-the file.  write_npy writes every payload byte: a whole array to a path,
-or the next block of an NpyWriter, which writes the header to a temp
-file beside the output and renames it into place only once every block
-is written, so a failure leaves no partial file.
+LabelMask.from_npy reads a label mask whole through read_npy, from the
+NpyFile that typed it.  FeatureFile and LabelMask.from_npy type a file
+from its header by one set of rules, before any payload is read, and
+every check of a file's values names the file.  write_npy writes every
+payload byte: a whole array to a path, or the next block of an
+NpyWriter, which writes the header to a temp file beside the output and
+renames it into place only once every block is written, so a failure
+leaves no partial file.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ class NpyFile:
 
 
 def read_npy(path) -> np.ndarray:
-    """Read an NPY v1.0 file into a C-ordered array of a supported dtype."""
-    npy = NpyFile(path)
-    with open(path, "rb") as fh:
+    """Read an NPY v1.0 file, by path or from its `NpyFile`, into a C-ordered array."""
+    npy = path if isinstance(path, NpyFile) else NpyFile(path)
+    with open(npy.path, "rb") as fh:
         return npy.read(fh, np.empty(npy.shape, npy.dtype), 0)
 
 
@@ -359,7 +360,7 @@ class LabelMask:
         npy = NpyFile(path)
         if _array_kind(path, npy.dtype, npy.shape)[0] is not LabelMask:
             raise ValidationError(f"{path}: expected an integer label mask")
-        return cls(read_npy(path), ignore_value, str(path))
+        return cls(read_npy(npy), ignore_value, str(path))
 
     @functools.cached_property
     def labels(self) -> np.ndarray:

@@ -75,13 +75,11 @@ from .sampling import (
 )
 from .spectral import fft2, filter_frequency_response
 from .segmetrics import (
-    BandUnion,
-    boundary_band,
     class_band_pairs,
     default_band_width,
+    label_band,
     miou,
     multiclass_errors,
-    pack_class,
     relevant_classes,
 )
 
@@ -439,6 +437,11 @@ def cmd_analyze(args) -> None:
     bins = config["bins"]
     if bins < 2:
         raise InputError(f"bins must be >= 2, got {bins}")
+    for flag, path in (("--probs", args.probs), ("--pred", args.pred)):
+        if path is not None and args.gt is None:
+            raise InputError(f"{flag} needs --gt")
+    if config["out_format"] == "csv" and args.probs is None and args.pred is None:
+        raise InputError("csv output needs at least one curve (--probs/--pred)")
     # every per-pixel input is read a block of rows at a time: the
     # features a band of window rows, the score map a leaf of values at a
     # time for its mean and again in blocks to bin, read from its file or
@@ -465,42 +468,26 @@ def cmd_analyze(args) -> None:
     d = _band_width_for(config["band_width"], score_map.shape)
     result["band_width"] = d
 
-    gt_bands = None
     if args.probs is not None:
-        if gt is None:
-            raise InputError("--probs needs --gt")
         inputs["probs"] = args.probs
         ce = PixelCrossEntropy(FeatureFile(args.probs), gt)
-        gt_bands = BandUnion(gt.data.shape)
-
-    # one pass over the classes, one class's bands at a time: each gt band
-    # goes into the --probs union, each pair's error types into the merge
-    # (a class present only in pred has an empty G_d)
+    # the error types take one class's pair of bands at a time (a class
+    # present only in pred has an empty G_d); the cross-entropy is binned
+    # over every gt class's band at once, one dilation of the label contour
     dist = None
     if args.pred is not None:
-        if gt is None:
-            raise InputError("--pred needs --gt")
         pred = LabelMask.from_npy(args.pred, args.ignore_value)
         inputs["pred"] = args.pred
         if pred.data.shape != gt.data.shape:
             raise InputError("pred and gt shapes differ")
-        pairs = class_band_pairs(pred, gt, d)
-        if gt_bands is not None:
-            pairs = gt_bands.add_gt_bands(pairs)
-        dist = error_type_distribution(pairs, score_map, bins)
-    elif gt_bands is not None:
-        for c in gt.present_classes():
-            gt_bands.add(boundary_band(pack_class(gt, c), d).words)
-
-    if gt_bands is not None:
-        curve = bin_by_score(score_map, ce, gt_bands.mask, bins)
+        dist = error_type_distribution(class_band_pairs(pred, gt, d), score_map, bins)
+    if args.probs is not None:
+        curve = bin_by_score(score_map, ce, label_band(gt, d), bins)
         curves["boundary_cross_entropy"] = curve.rows()
     if dist is not None:
         curves["error_type_distribution"] = dist.rows()
 
     if config["out_format"] == "csv":
-        if not curves:
-            raise InputError("csv output needs at least one curve (--probs/--pred)")
         _write(args, _curves_csv(curves))
         return
     result["curves"] = curves

@@ -18,13 +18,14 @@ gives the error tags and seven pixel counts, `BandCounts`, and every rate,
 BIoU, BAcc and baseline is a ratio of two of them, taken in one place,
 `BandCounts.ratios`.  `class_band_pairs` builds the pairs one class at a time
 as they are asked for, from labels packed by `pack_class`, so a command holds
-one pair.  A band is the contour dilated by the radius-d disk of integer
-offsets, built from shifted ORs on bit-packed rows (`boundary_band`); no
-distance transform is computed.  `pack_rows` fixes the one packed layout, 64
-pixels per little-endian uint64 word; bands stay in it up to the counts, and
-no other module reads or writes it: `boundary_band`, `BandUnion` and
-`error_type_masks` hand out a `PackedMask`, which unpacks a block of rows at
-a time.
+one pair.  A band is a contour dilated by the radius-d disk of integer
+offsets, built from shifted ORs on bit-packed rows (`_dilate`), of one mask's
+contour (`boundary_band`) or of the contour between labels, the union of every
+class's band (`label_band`); no distance transform is computed.  `pack_rows`
+fixes the one packed layout, 64 pixels per little-endian uint64 word; bands
+stay in it up to the counts, and no other module reads or writes it: both
+band builders and `error_type_masks` hand out a `PackedMask`, which unpacks a
+block of rows at a time.
 """
 
 from __future__ import annotations
@@ -138,30 +139,29 @@ def _packed(mask: BinaryMask | PackedMask) -> PackedMask:
     return mask if isinstance(mask, PackedMask) else PackedMask(pack_rows(mask.bits), mask.width)
 
 
-def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) -> PackedMask:
-    """Union of the contour shifted by every integer offset (dy, dx) with
-    dy^2 + dx^2 <= d^2, which is the set of pixels within Euclidean
-    distance d of a contour pixel.
+def _dilate(edge: np.ndarray, w: int, d: int) -> PackedMask:
+    """Union of the packed pixels `edge`, of an image w pixels wide,
+    shifted by every integer offset (dy, dx) with dy^2 + dx^2 <= d^2,
+    which is the set of pixels within Euclidean distance d of an edge
+    pixel.  `edge` is overwritten.
 
     Row offset dy takes a horizontal run of half-width isqrt(d^2 - dy^2),
     which only grows as |dy| shrinks, so the run is widened while dy walks
     from d down to 0, and each step ORs it into the band shifted by +-dy
-    rows.  The run is the union of two one-sided runs, the contour
-    stretched right and left by the half-width a.  A one-sided run widens
-    to a + s with one OR of itself shifted by s columns, for any s <= a + 1,
-    so each distinct half-width costs two column shifts however far it
-    moves.  (A symmetric run grown from itself by +-s would lose pixels
-    near the row ends, whose path passes outside the image.)  Both loops
-    stop at the image extent.  Everything runs on `pack_rows` words, 64
-    pixels per uint64, and the band stays packed: about 2*min(d, H-1)
-    row-slice ORs plus three word ops per distinct half-width,
-    O(d*H*W/64) word operations.  A `PackedMask` is used as it is, and the
-    band comes back as one.
+    rows.  The run is the union of two one-sided runs, the edge stretched
+    right and left by the half-width a.  A one-sided run widens to a + s
+    with one OR of itself shifted by s columns, for any s <= a + 1, so
+    each distinct half-width costs two column shifts however far it moves.
+    (A symmetric run grown from itself by +-s would lose pixels near the
+    row ends, whose path passes outside the image.)  Both loops stop at
+    the image extent.  Everything runs on `pack_rows` words, 64 pixels per
+    uint64, and the band stays packed: about 2*min(d, H-1) row-slice ORs
+    plus three word ops per distinct half-width, O(d*H*W/64) word
+    operations.
     """
     if d < 1:
         raise ShapeError(f"band width must be >= 1, got {d}")
-    h, w = mask.shape
-    right = _contour_words(_packed(mask).words)
+    h, right = edge.shape[0], edge
     if not right.any():
         return PackedMask(np.zeros_like(right), w)
     left, run = right.copy(), right
@@ -183,6 +183,40 @@ def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) ->
             band |= run
     band[:, -1] &= np.uint64((2**64 - 1) >> (-w % 64))  # `right` spilled into padding
     return PackedMask(band, w)
+
+
+def boundary_band(mask: BinaryMask | PackedMask, d: int = DEFAULT_BAND_WIDTH) -> PackedMask:
+    """The pixels within Euclidean distance d of the mask's contour; a
+    `PackedMask` is used as it is."""
+    return _dilate(_contour_words(_packed(mask).words), mask.shape[1], d)
+
+
+def label_band(mask: LabelMask, d: int = DEFAULT_BAND_WIDTH) -> PackedMask:
+    """The OR over the present classes c of
+    `boundary_band(pack_class(mask, c), d)`, as one `_dilate` of the label
+    contour, since a dilation of a union is the union of the dilations.
+    A labelled pixel is on the contour when a 4-neighbour is outside the
+    image or holds another label; an ignored pixel is on none, and is
+    another label to its neighbours.  The contour is found and packed a
+    block of rows at a time, so no (H, W) bool mask is made."""
+    labels, (h, w) = mask.data, mask.data.shape
+    edge = _zero_words((h, w))
+    out = edge.view(np.uint8)[:, : -(-w // 8)]
+    for rows in row_blocks((h, w)):
+        # the image's border pixels are on it; rows y0 .. y1 - 1 of the
+        # block have all four neighbours in the image
+        on = np.ones((rows.stop - rows.start, w), dtype=bool)
+        y0, y1 = max(rows.start, 1), min(rows.stop, h - 1)
+        if y0 < y1:
+            m = labels[y0:y1, 1:-1]
+            on[y0 - rows.start : y1 - rows.start, 1:-1] = (
+                (m != labels[y0 - 1 : y1 - 1, 1:-1]) | (m != labels[y0 + 1 : y1 + 1, 1:-1])
+                | (m != labels[y0:y1, :-2]) | (m != labels[y0:y1, 2:])
+            )
+        if mask.ignore_value is not None:
+            on &= labels[rows] != mask.ignore_value
+        out[rows] = np.packbits(on, axis=-1, bitorder="little")
+    return _dilate(edge, w, d)
 
 
 @dataclass(frozen=True)
@@ -298,30 +332,6 @@ class PackedMask:
     def rows(self, y0: int, y1: int) -> np.ndarray:
         """Rows y0 .. y1 - 1 as (y1 - y0, W) bool."""
         return unpack_rows(self.words[y0:y1], self.width)
-
-
-class BandUnion:
-    """Pixels in any of the packed bands of an (H, W) image, ORed in one
-    band at a time."""
-
-    def __init__(self, shape: tuple[int, int]):
-        self._words = _zero_words(shape)
-        self._width = shape[1]
-
-    def add(self, band: np.ndarray) -> None:
-        self._words |= band
-
-    def add_gt_bands(
-        self, pairs: Iterable[tuple[int, BandPair]]
-    ) -> Iterator[tuple[int, BandPair]]:
-        """Pass `pairs` through, ORing in each pair's G_d as it goes by."""
-        for c, pair in pairs:
-            self.add(pair.g_d)
-            yield c, pair
-
-    @property
-    def mask(self) -> PackedMask:
-        return PackedMask(self._words, self._width)
 
 
 def error_type_masks(

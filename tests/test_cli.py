@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import alias_scope
-from alias_scope import cli, segmetrics
+from alias_scope import arrays, cli, segmetrics
 from alias_scope.arrays import LabelMask, read_npy, write_npy
 from alias_scope.cli import main
+from alias_scope.errors import InternalError
 from alias_scope.freqmix import PARAM_FIELDS, WEIGHT_FIELDS
 from alias_scope.synth import tone, white_noise
 
@@ -484,6 +485,84 @@ def test_analyze_needs_exactly_one_source(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--probs", "probs"], "--probs needs --gt"),
+    (["--pred", "labels"], "--pred needs --gt"),
+    (["--format", "csv"], "csv output needs at least one curve (--probs/--pred)"),
+])
+def test_analyze_checks_flag_combinations_before_reading(
+    capsys, monkeypatch, tmp_path, flags, message
+):
+    # a combination that can give no report exits before the 128 KiB of
+    # features are read or any window is scored
+    feat, probs, labels = tmp_path / "feat.npy", tmp_path / "probs.npy", tmp_path / "labels.npy"
+    write_npy(feat, white_noise((2, 64, 128), seed=3).data)
+    write_npy(probs, np.full((2, 64, 128), 0.5))
+    write_npy(labels, np.zeros((64, 128), dtype=np.uint8))
+    paths = {"probs": probs, "labels": labels}
+    reads = _count_calls(monkeypatch, arrays.NpyFile, "read")
+    code, out, err = run(capsys, "analyze", "--features", feat, "--cutoff", 0.25,
+                         *(paths.get(flag, flag) for flag in flags))
+    assert (code, out, err) == (2, "", f"alias-scope: error: {message}\n")
+    assert sum(buffer.nbytes for _, _, buffer, _ in reads) == 0
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("gt", "gt shape does not match the score map"),
+    ("pred", "pred and gt shapes differ"),
+])
+def test_analyze_shape_mismatch_exit_2(capsys, tmp_path, wrong, message):
+    paths = {name: tmp_path / f"{name}.npy" for name in ("score", "gt", "pred")}
+    write_npy(paths["score"], np.linspace(0.0, 1.0, 64).reshape(8, 8))
+    for name in ("gt", "pred"):
+        write_npy(paths[name], np.zeros((8, 9) if name == wrong else (8, 8), dtype=np.uint8))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", "--score", paths["score"], "--gt", paths["gt"],
+                         "--pred", paths["pred"], "--out", report)
+    assert (code, out, err) == (2, "", f"alias-scope: error: {message}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--builtin", "binomial3", "--kernel-file", "kernel"],
+     "give exactly one of --builtin or --kernel-file"),
+    ([], "give exactly one of --builtin or --kernel-file"),
+    (["--builtin", "binomialx"], "unknown builtin kernel 'binomialx'"),
+])
+def test_response_kernel_source_errors_exit_2(capsys, tmp_path, flags, message):
+    kernel = tmp_path / "k.npy"
+    write_npy(kernel, np.ones((3, 3)))
+    report, map_out = tmp_path / "report.json", tmp_path / "map.npy"
+    code, out, err = run(capsys, "response", *(kernel if f == "kernel" else f for f in flags),
+                         "--grid", 8, "--out", report, "--map-out", map_out)
+    assert (code, out, err) == (2, "", f"alias-scope: error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == [kernel]
+
+
+@pytest.mark.parametrize("command", ["daf", "blur", "noise", "freqmix"])
+def test_array_commands_need_out(capsys, tmp_path, feature_file, command):
+    weights = tmp_path / "weights"
+    weights.mkdir()
+    for name in WEIGHT_FIELDS:
+        write_npy(weights / f"{name}.npy", np.zeros((2,) if name.endswith("channel") else (16, 16)))
+    flags = {"daf": ["--cutoff", 0.25], "blur": [], "noise": ["--sigma", 0.5],
+             "freqmix": ["--weights-dir", weights]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, command, feature_file, *flags)
+    assert (code, out) == (2, "")
+    assert err == "alias-scope: error: this command writes an array: --out is required\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalError("folded frequency out of range")
+
+    monkeypatch.setattr(cli, "predicted_alias_frequency", broken)
+    code, out, err = run(capsys, "fold", "--freq", 0.4, "--stride", 2)
+    assert (code, out, err) == (3, "", "alias-scope: internal error: folded frequency out of range\n")
+
+
 # --- response
 
 
@@ -862,9 +941,7 @@ def _count_label_scans(monkeypatch):
 
 
 def _count_band_calls(monkeypatch):
-    calls = _count_calls(monkeypatch, segmetrics, "boundary_band")
-    monkeypatch.setattr(cli, "boundary_band", segmetrics.boundary_band)
-    return calls
+    return _count_calls(monkeypatch, segmetrics, "boundary_band")
 
 
 @pytest.fixture
@@ -921,6 +998,17 @@ def test_metrics_scans_and_validates_each_mask_once(
     assert len(checks) == 2
 
 
+def test_metrics_parses_each_header_once(capsys, monkeypatch, three_class_pair):
+    # each mask's header is parsed once, when it is typed, and its payload
+    # is read through read_npy from that NpyFile
+    headers = _count_calls(monkeypatch, arrays.NpyFile, "__init__")
+    reads = _count_calls(monkeypatch, arrays, "read_npy")
+    pred, gt = three_class_pair
+    run_json(capsys, "metrics", pred, gt, "--band-width", 1)
+    assert len(headers) == 2
+    assert [type(args[0]) for args in reads] == [arrays.NpyFile] * 2
+
+
 def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three_class_pair):
     pred, gt = three_class_pair
     probs_path, score_path = tmp_path / "probs3.npy", tmp_path / "score3.npy"
@@ -928,6 +1016,7 @@ def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three
     write_npy(score_path, np.linspace(0.0, 1.0, 64).reshape(8, 8))
     calls = _count_band_calls(monkeypatch)
     packs = _count_calls(monkeypatch, segmetrics, "pack_class")
+    dilations = _count_calls(monkeypatch, segmetrics, "_dilate")
     scans = _count_label_scans(monkeypatch)
     report = run_json(
         capsys, "analyze", "--score", score_path, "--probs", probs_path,
@@ -935,12 +1024,32 @@ def test_analyze_builds_two_bands_per_class(capsys, monkeypatch, tmp_path, three
     )
     curves = set(report["result"]["curves"])
     assert curves == {"boundary_cross_entropy", "error_type_distribution"}
-    # the --probs union takes each pair's G_d, so no gt band is built twice
+    # one band per class mask, and the --probs union is one more dilation,
+    # of the gt label contour
     assert len(calls) == 2 * 3
     assert len(packs) == 2 * 3
+    assert len(dilations) == 2 * 3 + 1
     # gt is scanned once, for the --probs range check, and the class list
     # reads that scan
     assert len(scans) == 2 and scans[0][0] is not scans[1][0]
+
+
+def test_analyze_probs_band_is_one_dilation(capsys, monkeypatch, tmp_path, three_class_pair):
+    # without --pred no class mask is packed: the --probs union is the
+    # dilated gt label contour
+    _, gt = three_class_pair
+    probs_path, score_path = tmp_path / "probs3.npy", tmp_path / "score3.npy"
+    write_npy(probs_path, np.full((3, 8, 8), 1 / 3))
+    write_npy(score_path, np.linspace(0.0, 1.0, 64).reshape(8, 8))
+    calls = _count_band_calls(monkeypatch)
+    packs = _count_calls(monkeypatch, segmetrics, "pack_class")
+    dilations = _count_calls(monkeypatch, segmetrics, "_dilate")
+    report = run_json(
+        capsys, "analyze", "--score", score_path, "--probs", probs_path,
+        "--gt", gt, "--band-width", 1, "--bins", 2,
+    )
+    assert set(report["result"]["curves"]) == {"boundary_cross_entropy"}
+    assert (len(calls), len(packs), len(dilations)) == (0, 0, 1)
 
 
 _RANGE_CHECKS = [  # command, flag, config key (None: flag only), bad value

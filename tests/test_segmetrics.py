@@ -554,6 +554,69 @@ def test_band_huge_width_is_bounded_by_image():
     assert band.all()
 
 
+# --- label band: every class's band in one dilation
+
+
+@st.composite
+def label_band_cases(draw):
+    dtype = draw(st.sampled_from(["|u1", "<i4"]))
+    h = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    w = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    pool = [0, 1, 2, 3, 255] + ([70000] if dtype == "<i4" else [])
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    ignore = draw(st.sampled_from([255, None, 0, 3]))
+    # squares of `cell` pixels of one label: 1 gives a contour almost
+    # everywhere, larger cells long runs of one label
+    cell = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.choice(values, (-(-h // cell), -(-w // cell)))
+    labels = np.repeat(np.repeat(cells, cell, axis=0), cell, axis=1)[:h, :w]
+    d = draw(st.integers(1, 8))
+    return LabelMask(labels.astype(dtype), ignore), d
+
+
+def _label_map(rows, dtype="|u1", ignore=255) -> LabelMask:
+    return LabelMask(np.array(rows, dtype=dtype), ignore)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_band_cases())
+# d reaches past the image's height, and a one-pixel-wide map
+@example((_label_map([[0, 0, 1, 1, 255], [0, 2, 2, 255, 255]]), 8))
+@example((_label_map([[0], [0], [255], [1], [1]], "<i4", None), 3))
+# one label everywhere: the image border is the whole contour
+@example((_label_map([[4] * 40] * 3), 1))
+# nothing but the ignore value: no contour, an empty band
+@example((_label_map([[255] * 7] * 2), 2))
+def test_label_band_is_the_union_of_class_bands(case):
+    mask, d = case
+    band = segmetrics.label_band(mask, d)
+    ored = np.zeros_like(band.words)
+    union = np.zeros(mask.data.shape, dtype=bool)
+    for c in mask.present_classes():
+        ored |= boundary_band(segmetrics.pack_class(mask, c), d).words
+        union |= oracles.band_pixels(mask.data == c, d)
+    assert band.shape == mask.data.shape
+    assert np.array_equal(band.words, ored)
+    assert np.array_equal(band.words, pack_rows(union))
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (70, 1000), (1000, 70)])
+def test_label_band_across_row_blocks(shape):
+    # the contour is found a block of rows at a time: stripes 37 rows
+    # high, with a few dots, put label changes near the block edges, and
+    # rows on a block edge far from any change must stay off the contour
+    rng = np.random.default_rng(shape[0])
+    stripes = np.repeat(rng.choice([0, 1, 5, 255], shape[0] // 37 + 1), 37)[: shape[0]]
+    labels = np.repeat(stripes[:, None], shape[1], axis=1)
+    labels[rng.random(shape) < 0.002] = 1
+    mask = LabelMask(labels.astype(np.uint8), 255)
+    ored = np.zeros_like(pack_rows(labels > 0))
+    for c in mask.present_classes():
+        ored |= boundary_band(segmetrics.pack_class(mask, c), 3).words
+    assert np.array_equal(segmetrics.label_band(mask, 3).words, ored)
+
+
 # --- mIoU against a per-class literal loop
 
 
