@@ -169,11 +169,8 @@ class PixelCrossEntropy:
             data = self.probs.rows(a, b)
             if np.any(data < -1e-6) or np.any(np.abs(data.sum(axis=0) - 1.0) > 1e-6):
                 raise ValidationError("per-pixel probabilities do not form a simplex")
-            labels = self.gt.data[a:b]
-            valid = np.ones(labels.shape, dtype=bool)
-            if self.gt.ignore_value is not None:
-                valid = labels != self.gt.ignore_value
-            safe_labels = np.where(valid, labels, 0).astype(np.int64)
+            valid = self.gt.labelled(slice(a, b))
+            safe_labels = np.where(valid, self.gt.data[a:b], 0).astype(np.int64)
             picked = np.take_along_axis(data, safe_labels[None, :, :], axis=0)[0]
             out[rows][valid] = -np.log(np.maximum(picked[valid], np.finfo(np.float64).tiny))
         return out

@@ -50,6 +50,7 @@ _DTYPE_TO_DESCR = {v: k for k, v in _DESCR_TO_DTYPE.items()}
 
 FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 INT_DTYPES = (np.dtype("|u1"), np.dtype("<i4"), np.dtype("<u2"))
+INT32 = np.iinfo(np.int32)  # other integer labels are cast to int32
 
 DEFAULT_IGNORE_VALUE = 255
 
@@ -274,6 +275,8 @@ class FeatureTensor:
         arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise self._invalid(f"feature tensor must be 3D, got shape {arr.shape}")
+        if np.iscomplexobj(arr):
+            raise self._invalid(f"feature tensor must be real, got dtype {arr.dtype}")
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         if any(n <= 0 for n in arr.shape):
@@ -329,17 +332,16 @@ class LabelMask:
         if arr.dtype not in INT_DTYPES:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise self._invalid(f"label mask dtype must be integer: {arr.dtype}")
+            if arr.size and not (INT32.min <= arr.min() and arr.max() <= INT32.max):
+                raise self._invalid(f"label mask {arr.dtype} values must fit in int32")
             arr = arr.astype(np.int32)
         if any(n <= 0 for n in arr.shape):
             raise self._invalid(f"label mask dims must be positive: {arr.shape}")
+        object.__setattr__(self, "data", arr)
         if arr.dtype.kind == "i":  # |u1 and <u2 labels cannot be negative
             for rows in row_blocks(arr.shape):
-                bad = arr[rows] < 0
-                if self.ignore_value is not None:
-                    bad &= arr[rows] != self.ignore_value
-                if np.any(bad):
+                if np.any((arr[rows] < 0) & self.labelled(rows)):
                     raise self._invalid("label mask contains negative labels")
-        object.__setattr__(self, "data", arr)
 
     def _invalid(self, message: str) -> ValidationError:
         return ValidationError(message if self.source is None else f"{self.source}: {message}")
@@ -377,10 +379,18 @@ class LabelMask:
         else:
             blocks = row_blocks(self.data.shape)
             labels = np.unique(np.concatenate([np.unique(self.data[r]) for r in blocks]))
-        if self.ignore_value is not None:
-            labels = labels[labels != self.ignore_value]
+        labels = labels[labels != self.ignore_value]  # elementwise: None drops none
         labels.flags.writeable = False
         return labels
+
+    def labelled(self, rows: slice) -> np.ndarray:
+        """Rows `rows` as bools, set where a pixel holds a label: every
+        pixel but the ignore value, all of them when it is None.  The one
+        place that compares pixels with the ignore value."""
+        data = self.data[rows]
+        if self.ignore_value is None:
+            return np.ones(data.shape, dtype=bool)
+        return data != self.ignore_value
 
     def validate_classes(self, n_classes: int) -> int:
         """Check that every label but the ignore value is below n_classes;

@@ -471,20 +471,19 @@ def cmd_analyze(args) -> None:
     if args.probs is not None:
         inputs["probs"] = args.probs
         ce = PixelCrossEntropy(FeatureFile(args.probs), gt)
-    # the error types take one class's pair of bands at a time (a class
-    # present only in pred has an empty G_d); the cross-entropy is binned
-    # over every gt class's band at once, one dilation of the label contour
-    dist = None
     if args.pred is not None:
         pred = LabelMask.from_npy(args.pred, args.ignore_value)
         inputs["pred"] = args.pred
         if pred.data.shape != gt.data.shape:
             raise InputError("pred and gt shapes differ")
-        dist = error_type_distribution(class_band_pairs(pred, gt, d), score_map, bins)
+    # the cross-entropy is binned first, over one dilation of the gt label
+    # contour, so bad probabilities fail before any band pair is built; the
+    # error types take one class's pair of bands at a time
     if args.probs is not None:
         curve = bin_by_score(score_map, ce, label_band(gt, d), bins)
         curves["boundary_cross_entropy"] = curve.rows()
-    if dist is not None:
+    if args.pred is not None:
+        dist = error_type_distribution(class_band_pairs(pred, gt, d), score_map, bins)
         curves["error_type_distribution"] = dist.rows()
 
     if config["out_format"] == "csv":

@@ -8,7 +8,7 @@ parameters stay unconstrained.  The operator is forward-only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,25 +16,6 @@ import numpy as np
 from .antialias import CutoffSpec, daf
 from .arrays import FeatureFile, FeatureTensor, read_npy
 from .errors import ShapeError
-
-WEIGHT_FIELDS = (
-    "a_low_channel",
-    "a_high_channel",
-    "a_low_spatial",
-    "a_high_spatial",
-)
-
-PARAM_FIELDS = (
-    "fc_low_weight",
-    "fc_low_bias",
-    "fc_high_weight",
-    "fc_high_bias",
-    "conv_low_kernel",
-    "conv_low_bias",
-    "conv_high_kernel",
-    "conv_high_bias",
-)
-
 
 @dataclass(frozen=True)
 class FreqMixWeights:
@@ -104,6 +85,9 @@ class FreqMixWeights:
         return cls(*(read_npy(directory / f"{name}.npy") for name in WEIGHT_FIELDS))
 
 
+WEIGHT_FIELDS = tuple(f.name for f in fields(FreqMixWeights))
+
+
 @dataclass(frozen=True)
 class FreqMixParams:
     """Prediction-head parameters: per-band C->C fc and k x k conv."""
@@ -161,6 +145,9 @@ class FreqMixParams:
     def from_npy_dir(cls, directory) -> "FreqMixParams":
         directory = Path(directory)
         return cls(*(read_npy(directory / f"{name}.npy") for name in PARAM_FIELDS))
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(FreqMixParams))
 
 
 def frequency_split(

@@ -12,7 +12,7 @@ subsampling; predicted_alias_frequency gives the folded tone location.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,18 +36,9 @@ class DownsampleSpec:
     out_w: int
 
     def __post_init__(self):
-        for name in (
-            "kernel_h",
-            "kernel_w",
-            "in_channels",
-            "out_channels",
-            "in_h",
-            "in_w",
-            "out_h",
-            "out_w",
-        ):
-            if getattr(self, name) < 1:
-                raise SpecError(f"{name} must be a positive integer")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise SpecError(f"{f.name} must be a positive integer")
         if self.out_h > self.in_h or self.out_w > self.in_w:
             raise SpecError("output size must not exceed input size")
         if self.in_h % self.out_h or self.in_w % self.out_w:

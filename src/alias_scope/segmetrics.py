@@ -21,9 +21,10 @@ as they are asked for, from labels packed by `pack_class`, so a command holds
 one pair.  A band is a contour dilated by the radius-d disk of integer
 offsets, built from shifted ORs on bit-packed rows (`_dilate`), of one mask's
 contour (`boundary_band`) or of the contour between labels, the union of every
-class's band (`label_band`); no distance transform is computed.  `pack_rows`
-fixes the one packed layout, 64 pixels per little-endian uint64 word; bands
-stay in it up to the counts, and no other module reads or writes it: both
+class's band (`label_band`); no distance transform is computed.  `_pack`, the
+one packer, which `pack_rows`, `pack_class` and `label_band` share, fixes
+the one packed layout, 64 pixels per little-endian uint64 word; bands stay
+in it up to the counts, and no other module reads or writes it: both
 band builders and `error_type_masks` hand out a `PackedMask`, which unpacks a
 block of rows at a time.
 """
@@ -63,23 +64,28 @@ def _zero_words(shape: tuple[int, int]) -> np.ndarray:
     return np.zeros((shape[0], -(-shape[1] // 64)), dtype="<u8")
 
 
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(H, W) bool as (H, ceil(W / 64)) little-endian uint64 words: column
+def _pack(shape: tuple[int, int], bits, block: int = 1 << 16) -> np.ndarray:
+    """The bools `bits(rows)` gives for each block of `row_blocks(shape,
+    block)`, packed as (H, ceil(W / 64)) little-endian uint64 words: column
     x is bit x % 64 of word x // 64, and row padding bits are 0."""
-    h, w = bits.shape
-    words = np.zeros((h, -(-w // 64) * 8), dtype=np.uint8)
-    words[:, : -(-w // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    return words.view("<u8")
+    words = _zero_words(shape)
+    out = words.view(np.uint8)[:, : -(-shape[1] // 8)]
+    for rows in row_blocks(shape, block):
+        out[rows] = np.packbits(bits(rows), axis=-1, bitorder="little")
+    return words
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(H, W) bool as `_pack` words."""
+    return _pack(bits.shape, bits.__getitem__)
 
 
 def pack_class(mask: LabelMask, class_id: int) -> PackedMask:
     """`pack_rows(class_mask(mask, class_id).bits)`, packed one block of
     rows of labels at a time, so no (H, W) bool mask is made."""
-    words = _zero_words(mask.data.shape)
-    if class_id != mask.ignore_value:
-        out = words.view(np.uint8)[:, : -(-mask.width // 8)]
-        for rows in row_blocks(mask.data.shape, 1 << 18):
-            out[rows] = np.packbits(mask.data[rows] == class_id, axis=-1, bitorder="little")
+    if class_id == mask.ignore_value:
+        return PackedMask(_zero_words(mask.data.shape), mask.width)
+    words = _pack(mask.data.shape, lambda rows: mask.data[rows] == class_id, 1 << 18)
     return PackedMask(words, mask.width)
 
 
@@ -200,23 +206,21 @@ def label_band(mask: LabelMask, d: int = DEFAULT_BAND_WIDTH) -> PackedMask:
     another label to its neighbours.  The contour is found and packed a
     block of rows at a time, so no (H, W) bool mask is made."""
     labels, (h, w) = mask.data, mask.data.shape
-    edge = _zero_words((h, w))
-    out = edge.view(np.uint8)[:, : -(-w // 8)]
-    for rows in row_blocks((h, w)):
+
+    def on_contour(rows: slice) -> np.ndarray:
         # the image's border pixels are on it; rows y0 .. y1 - 1 of the
         # block have all four neighbours in the image
-        on = np.ones((rows.stop - rows.start, w), dtype=bool)
+        on = mask.labelled(rows)
         y0, y1 = max(rows.start, 1), min(rows.stop, h - 1)
         if y0 < y1:
             m = labels[y0:y1, 1:-1]
-            on[y0 - rows.start : y1 - rows.start, 1:-1] = (
+            on[y0 - rows.start : y1 - rows.start, 1:-1] &= (
                 (m != labels[y0 - 1 : y1 - 1, 1:-1]) | (m != labels[y0 + 1 : y1 + 1, 1:-1])
                 | (m != labels[y0:y1, :-2]) | (m != labels[y0:y1, 2:])
             )
-        if mask.ignore_value is not None:
-            on &= labels[rows] != mask.ignore_value
-        out[rows] = np.packbits(on, axis=-1, bitorder="little")
-    return _dilate(edge, w, d)
+        return on
+
+    return _dilate(_pack((h, w), on_contour), w, d)
 
 
 @dataclass(frozen=True)
@@ -405,13 +409,9 @@ def _valid_label_counts(
     intp cast is made; counts are integers, the same for any blocks."""
     counts = np.zeros((3, size), dtype=np.intp)
     for rows in row_blocks(gt.data.shape, block // max(gt.data.itemsize, pred.data.itemsize)):
-        g, p = gt.data[rows], pred.data[rows]
-        valid = np.ones(g.shape, dtype=bool)
-        if gt.ignore_value is not None:
-            valid &= g != gt.ignore_value
-        if pred.ignore_value is not None:
-            valid &= p != pred.ignore_value
-        g, p = g[valid], p[valid]
+        valid = gt.labelled(rows)
+        valid &= pred.labelled(rows)
+        g, p = gt.data[rows][valid], pred.data[rows][valid]
         counts[0] += np.bincount(g[g == p], minlength=size)
         counts[1] += np.bincount(g, minlength=size)
         counts[2] += np.bincount(p, minlength=size)

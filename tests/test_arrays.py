@@ -289,6 +289,38 @@ def test_label_validation():
         LabelMask(np.array([[-1, 0]], dtype=np.int32), ignore_value=None)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [np.array([[0, 2**32 + 1]]), np.array([[0, -(2**31) - 1]]), np.array([[0, 2**31]], np.uint32)],
+)
+def test_labels_outside_int32_are_rejected(data):
+    # the int32 cast would wrap them: 2**32 + 1 to the label 1, and a
+    # uint32 2**31 to a negative label
+    with pytest.raises(ValidationError, match=f"^label mask {data.dtype} values must fit in int32$"):
+        LabelMask(data)
+
+
+def test_int64_labels_that_fit_are_cast_to_int32():
+    mask = LabelMask(np.array([[0, 2**31 - 1], [-(2**31), 7]]), ignore_value=-(2**31))
+    assert mask.data.dtype == np.int32
+    assert mask.present_classes() == [0, 7, 2**31 - 1]
+
+
+def test_complex_features_are_rejected():
+    # the float64 cast would drop the imaginary part
+    with pytest.raises(ValidationError, match="^feature tensor must be real, got dtype complex128$"):
+        FeatureTensor(np.ones((1, 2, 2)) + 1j)
+    assert FeatureTensor(np.ones((1, 2, 2), dtype=np.int16)).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("ignore", [None, 255])
+def test_labelled_rows(ignore):
+    mask = LabelMask(np.array([[0, 255], [3, 255], [255, 1]], dtype=np.uint8), ignore)
+    want = np.array([[1, 0], [1, 0], [0, 1]], dtype=bool) | (ignore is None)
+    assert np.array_equal(mask.labelled(slice(1, 3)), want[1:])
+    assert np.array_equal(mask.labelled(slice(None)), want)
+
+
 @settings(max_examples=50)
 @given(
     st.integers(1, 6),

@@ -1052,6 +1052,26 @@ def test_analyze_probs_band_is_one_dilation(capsys, monkeypatch, tmp_path, three
     assert (len(calls), len(packs), len(dilations)) == (0, 0, 1)
 
 
+def test_analyze_broken_simplex_fails_before_any_band(capsys, monkeypatch, tmp_path, three_class_pair):
+    # the cross-entropy is binned before the error types, so probabilities
+    # that break the simplex fail before any class's band pair is built
+    pred, gt = three_class_pair
+    probs_path, score_path = tmp_path / "probs3.npy", tmp_path / "score3.npy"
+    probs = np.full((3, 8, 8), 1 / 3)
+    probs[:, -1, -1] = 0.5
+    write_npy(probs_path, probs)
+    write_npy(score_path, np.linspace(0.0, 1.0, 64).reshape(8, 8))
+    calls = _count_band_calls(monkeypatch)
+    code, out, err = run(
+        capsys, "analyze", "--score", score_path, "--probs", probs_path,
+        "--pred", pred, "--gt", gt, "--band-width", 1, "--bins", 2,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "alias-scope: error: per-pixel probabilities do not form a simplex\n"
+    assert calls == []
+
+
 _RANGE_CHECKS = [  # command, flag, config key (None: flag only), bad value
     ("metrics", "--band-width", "metrics.band_width", 0),
     ("analyze", "--band-width", "metrics.band_width", -5),
