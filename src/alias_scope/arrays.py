@@ -16,7 +16,9 @@ every check of a file's values names the file.  write_npy writes every
 payload byte: a whole array to a path, or the next block of an
 NpyWriter, which writes the header to a temp file beside the output and
 renames it into place only once every block is written, so a failure
-leaves no partial file.
+leaves no partial file.  numpy.lib.format writes the header; NpyFile
+parses it itself, because numpy's reader raises IndexError on some bad
+descrs and accepts descrs and shapes that this subset rejects.
 """
 
 from __future__ import annotations
@@ -38,18 +40,9 @@ from .errors import (
 
 NPY_MAGIC = b"\x93NUMPY"
 
-# descr -> numpy dtype for the supported subset
-_DESCR_TO_DTYPE = {
-    "<f4": np.dtype("<f4"),
-    "<f8": np.dtype("<f8"),
-    "|u1": np.dtype("|u1"),
-    "<i4": np.dtype("<i4"),
-    "<u2": np.dtype("<u2"),
-}
-_DTYPE_TO_DESCR = {v: k for k, v in _DESCR_TO_DTYPE.items()}
-
 FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 INT_DTYPES = (np.dtype("|u1"), np.dtype("<i4"), np.dtype("<u2"))
+_DESCR_TO_DTYPE = {dtype.str: dtype for dtype in FLOAT_DTYPES + INT_DTYPES}
 INT32 = np.iinfo(np.int32)  # other integer labels are cast to int32
 
 DEFAULT_IGNORE_VALUE = 255
@@ -123,10 +116,11 @@ def read_npy(path) -> np.ndarray:
 
 class NpyWriter:
     """An NPY v1.0 file of a given dtype and shape, written a block along
-    its first axis at a time.  Entering writes the header to a temp file
-    beside `path`; `write_npy(writer, block)` appends each block's payload;
-    a clean exit checks that the blocks filled the shape and publishes the
-    temp file at `path`.
+    its first axis at a time.  Entering writes the header, by
+    `np.lib.format.write_array_header_1_0`, to a temp file beside `path`;
+    `write_npy(writer, block)` appends each block's payload; a clean exit
+    checks that the blocks filled the shape and publishes the temp file
+    at `path`.
 
     Publishing renames an existing file at `path` to a hidden name beside
     it, renames the temp file onto the now free name, and unlinks the old
@@ -142,19 +136,12 @@ class NpyWriter:
     def __init__(self, path, dtype, shape: tuple[int, ...]):
         given = np.dtype(dtype)
         dtype = given.newbyteorder("<") if given.byteorder == ">" else given
-        if dtype not in _DTYPE_TO_DESCR:
+        if dtype.str not in _DESCR_TO_DTYPE:
             raise UnsupportedDtypeError(f"cannot save dtype {given}")
         self.path, self.dtype, self.shape = path, dtype, tuple(int(n) for n in shape)
         self.written = 0
 
     def __enter__(self) -> "NpyWriter":
-        header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (
-            _DTYPE_TO_DESCR[self.dtype],
-            self.shape,
-        )
-        # pad so magic+version+len+header is a multiple of 64, ending in newline
-        unpadded = len(NPY_MAGIC) + 2 + 2 + len(header) + 1
-        header = header + " " * ((-unpadded) % 64) + "\n"
         if os.path.exists(self.path) and not os.path.isfile(self.path):
             self._target = self._temp = None
             self.fh = open(self.path, "wb")
@@ -167,8 +154,8 @@ class NpyWriter:
             except OSError as exc:  # named by the path asked for, not the temp file
                 raise OSError(exc.errno, exc.strerror, str(self.path)) from exc
         try:
-            self.fh.write(NPY_MAGIC + bytes((1, 0)) + len(header).to_bytes(2, "little"))
-            self.fh.write(header.encode("ascii"))
+            header = {"descr": self.dtype.str, "fortran_order": False, "shape": self.shape}
+            np.lib.format.write_array_header_1_0(self.fh, header)
         except BaseException:
             self._discard()
             raise

@@ -15,7 +15,7 @@ import numpy as np
 
 from .antialias import CutoffSpec, daf
 from .arrays import FeatureFile, FeatureTensor, read_npy
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 
 @dataclass(frozen=True)
 class FreqMixWeights:
@@ -27,15 +27,13 @@ class FreqMixWeights:
     a_high_spatial: np.ndarray
 
     def __post_init__(self):
-        for name in ("a_low_channel", "a_high_channel"):
+        for name in ("a_low_channel", "a_high_channel", "a_low_spatial", "a_high_spatial"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ShapeError(f"{name} must be 1D (C,), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name in ("a_low_spatial", "a_high_spatial"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeError(f"{name} must be 2D (H, W), got {arr.shape}")
+            ndim, dims = (1, "(C,)") if name.endswith("channel") else (2, "(H, W)")
+            if arr.ndim != ndim:
+                raise ShapeError(f"{name} must be {ndim}D {dims}, got {arr.shape}")
+            if np.isnan(arr).any():  # +-inf saturates a gain (see `bypass`); NaN has none
+                raise ValidationError(f"{name}: logits must not be NaN")
             object.__setattr__(self, name, arr)
 
     def check_against(self, shape: tuple[int, int, int]) -> None:
@@ -123,6 +121,9 @@ class FreqMixParams:
             if arr.size != 1:
                 raise ShapeError(f"{name} must be a scalar, got {arr.size} values")
             object.__setattr__(self, name, float(arr[0]))
+        for field in fields(self):
+            if not np.all(np.isfinite(getattr(self, field.name))):
+                raise ValidationError(f"{field.name}: parameters must be finite")
 
     @property
     def channels(self) -> int:
@@ -218,6 +219,9 @@ def freqmix_predict_weights(
     its `channel_means`, the fc of the global average pool and the k x k
     conv of the channel-mean map, per band.  The means are taken over
     `f.blocks()`, one block of channels at a time from a file."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf mean saturates a gain
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf mean or logit saturates a gain
         means = channel_means(block for _, block in f.blocks())
-    return params.predict(*means)
+        try:
+            return params.predict(*means)
+        except ValidationError as exc:  # a NaN logit, as from 0 * inf or inf - inf
+            raise ValidationError("predicted freqmix logits overflow float64; rescale the features") from exc

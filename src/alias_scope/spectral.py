@@ -32,15 +32,6 @@ def signed_frequencies(n: int) -> np.ndarray:
     return np.where(idx <= n // 2, idx, idx - n) / n
 
 
-@functools.lru_cache(maxsize=64)
-def _high_band(height: int, width: int, cutoff: float) -> np.ndarray:
-    hk = np.abs(signed_frequencies(height)) > cutoff
-    hl = np.abs(signed_frequencies(width)) > cutoff
-    mask = hk[:, None] | hl[None, :]
-    mask.flags.writeable = False  # one array is shared by every caller
-    return mask
-
-
 @dataclass(frozen=True)
 class FreqGrid:
     """The signed-frequency grid of an (H, W) spectrum."""
@@ -48,13 +39,18 @@ class FreqGrid:
     height: int
     width: int
 
+    @functools.lru_cache(maxsize=64)
     def high_band(self, cutoff: float) -> np.ndarray:
         """Boolean (H, W) mask of bins with |k| > cutoff or |l| > cutoff.
 
-        Cached per (H, W, cutoff) and read-only: the score map asks for the
-        same mask once per window.
+        Cached per (H, W, cutoff), equal grids sharing an entry, and
+        read-only: the score map asks for the same mask once per window.
         """
-        return _high_band(self.height, self.width, cutoff)
+        hk = np.abs(signed_frequencies(self.height)) > cutoff
+        hl = np.abs(signed_frequencies(self.width)) > cutoff
+        mask = hk[:, None] | hl[None, :]
+        mask.flags.writeable = False  # one array is shared by every caller
+        return mask
 
 
 @dataclass(frozen=True)

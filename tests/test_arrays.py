@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import tempfile
 import threading
@@ -52,6 +53,26 @@ def test_npy_interops_with_numpy(tmp_path):
     assert np.array_equal(np.load(path), arr)  # our container is plain NPY
     np.save(tmp_path / "b.npy", arr)
     assert np.array_equal(read_npy(tmp_path / "b.npy"), arr)
+
+
+def _v1_header(descr: str, shape: tuple[int, ...]) -> bytes:
+    """The NPY v1.0 header the writer once built itself, kept as the
+    reference for numpy's: the dict's repr, spaces up to a multiple of 64
+    bytes with magic, version and length, and a newline."""
+    header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (descr, shape)
+    header += " " * (-(len(header) + 11) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header.encode("ascii")
+
+
+@pytest.mark.parametrize("descr", ["<f4", "<f8", "|u1", "<i4", "<u2"])
+@pytest.mark.parametrize(
+    "shape", [(), (0,), (5,), (2, 3), (3, 0, 7), (0, 10**12), (0, 10**6, 10**6)], ids=str
+)
+def test_npy_header_bytes_are_pinned(tmp_path, descr, shape):
+    # the zero-size shapes reach long headers without writing data
+    arr = np.arange(math.prod(shape)).astype(descr).reshape(shape)
+    write_npy(tmp_path / "a.npy", arr)
+    assert (tmp_path / "a.npy").read_bytes() == _v1_header(descr, shape) + arr.tobytes()
 
 
 def test_load_zeros_3d_float(tmp_path):

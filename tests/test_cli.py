@@ -303,6 +303,41 @@ def test_freqmix_empty_conv_kernel_exit_2(capsys, tmp_path, feature_file, shape)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source, shapes, bad, message",
+    [
+        ("--weights-dir", dict(zip(WEIGHT_FIELDS, [(2,), (2,), (16, 16), (16, 16)])),
+         "a_low_channel", "logits must not be NaN"),
+        ("--params-dir", dict(zip(PARAM_FIELDS, [(2, 2), (2,), (2, 2), (2,), (3, 3), (), (3, 3), ()])),
+         "conv_low_bias", "parameters must be finite"),
+    ],
+)
+def test_freqmix_nan_weight_or_parameter_exit_2(capsys, tmp_path, feature_file, source, shapes, bad, message):
+    # a bad weight file is named, not blamed on the features
+    folder, out = tmp_path / "head", tmp_path / "mixed.npy"
+    folder.mkdir()
+    for name, shape in shapes.items():
+        write_npy(folder / f"{name}.npy", np.full(shape, np.nan if name == bad else 0.0))
+    code, stdout, err = run(capsys, "freqmix", feature_file, source, folder, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"alias-scope: error: {bad}: {message}\n"
+    assert not out.exists()
+
+
+def test_freqmix_overflowing_predicted_logits_exit_2(capsys, tmp_path):
+    # a mean that overflows to inf, times a zero weight, is a NaN logit
+    features, params, out = tmp_path / "big.npy", tmp_path / "params", tmp_path / "mixed.npy"
+    write_npy(features, np.full((2, 8, 8), 1.7e308))
+    params.mkdir()
+    values = [np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), np.zeros((3, 3)), 0.0, np.zeros((3, 3)), 0.0]
+    for name, value in zip(PARAM_FIELDS, values):
+        write_npy(params / f"{name}.npy", np.asarray(value, dtype=float))
+    code, stdout, err = run(capsys, "freqmix", features, "--params-dir", params, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == "alias-scope: error: predicted freqmix logits overflow float64; rescale the features\n"
+    assert not out.exists()
+
+
 # --- metrics
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alias_scope.antialias import CutoffSpec, daf
 from alias_scope.arrays import FeatureFile, FeatureTensor, write_npy
-from alias_scope.errors import ShapeError
+from alias_scope.errors import ShapeError, ValidationError
 from alias_scope.freqmix import (
     PARAM_FIELDS,
     WEIGHT_FIELDS,
@@ -328,6 +328,25 @@ def test_params_reject_an_empty_conv_kernel(field, shape):
     with pytest.raises(ShapeError) as info:
         FreqMixParams(**fields)
     assert str(info.value) == f"{field} must be 2D (k, k) with positive dims, got {shape}"
+
+
+@pytest.mark.parametrize("field", WEIGHT_FIELDS)
+def test_weights_reject_a_nan_logit(field):
+    values = dict(zip(WEIGHT_FIELDS, vars(FreqMixWeights.bypass(2, 3, 3)).values()))
+    values[field] = values[field].copy()
+    values[field].flat[-1] = np.nan
+    with pytest.raises(ValidationError, match=f"^{field}: logits must not be NaN$"):
+        FreqMixWeights(**values)
+
+
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_a_non_finite_value(field, value):
+    values = dict(zip(PARAM_FIELDS, vars(zero_params(2)).values()))
+    values[field] = np.array(values[field])
+    values[field].flat[-1] = value
+    with pytest.raises(ValidationError, match=f"^{field}: parameters must be finite$"):
+        FreqMixParams(**values)
 
 
 def test_weights_shape_check_at_load(tmp_path):

@@ -9,13 +9,18 @@ label pairs up to 40 x 40 with ignore strips and scattered ignored
 pixels.  Both sides divide the same integers and sum the same values in
 pixel order, so every count, ratio and mean must agree exactly.
 
-`analyze --features` is left out: windowed scores differ from the
-reference's in their last bits, so a pixel at a bin edge may move.
+`analyze --features --probs --pred --gt` is compared with the
+reference's `window_score_map` too.  Windowed scores differ from the
+reference's in their last bits, so the map mean agrees within 1e-12 and
+a pixel within 1e-9 of a bin edge may move to the next bin: every count
+agrees within twice the pixels `near_bin_edge` finds, and exactly, with
+every cross-entropy mean, when it finds none.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -111,3 +116,45 @@ def test_masks_match_the_benchmark_reference(h, w, n_classes, d, bins, seed):
     types = curves["error_type_distribution"]
     for key, want_counts in reference.type_counts(score, want["tags"], bins).items():
         assert [row[key] for row in types] == want_counts, key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(9, 29), st.integers(9, 29), st.integers(1, 3), st.integers(1, 9),
+       st.integers(1, 9), st.sampled_from([math.sqrt(2) / 4, 0.25]) | st.floats(0.01, 0.5),
+       st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_feature_maps_match_the_benchmark_reference(h, w, c, window, stride, cutoff, bins, seed):
+    pred, gt = label_pair(seed, h, w, 5)
+    rng = np.random.default_rng(seed + 1)
+    features = rng.standard_normal((c, h, w)).astype("<f4")
+    y, x = rng.integers(h), rng.integers(w)
+    features[rng.integers(c), y : y + rng.integers(h), x : x + rng.integers(w)] = 0.0  # no-power windows
+    logits = rng.standard_normal((5, h, w))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=0)
+    d = int(rng.integers(1, 4))
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {}
+        for name, arr in (("pred", pred), ("gt", gt), ("features", features), ("probs", probs)):
+            paths[name] = Path(folder) / f"{name}.npy"
+            write_npy(paths[name], arr)
+        report = run_report(
+            "analyze", "--features", paths["features"], "--probs", paths["probs"],
+            "--pred", paths["pred"], "--gt", paths["gt"], "--window", window,
+            "--stride-px", stride, "--cutoff", cutoff, "--band-width", d, "--bins", bins,
+        )
+
+    score = reference.window_score_map(features, window, stride, cutoff)
+    assert abs(report["score_map"]["mean"] - score.mean()) <= 1e-12
+    near = reference.near_bin_edge(score, bins)
+    gt_bands = np.zeros(gt.shape, dtype=bool)
+    for label in np.unique(gt[gt != IGNORE]):
+        gt_bands |= reference.band(gt == label, d)
+    counts, means = reference.binned_mean(score, reference.cross_entropy(probs, gt), gt_bands, bins)
+    ce = report["curves"]["boundary_cross_entropy"]
+    types = report["curves"]["error_type_distribution"]
+    pairs = [([row["count"] for row in ce], counts)]
+    for key, want_counts in reference.type_counts(score, reference.segmentation(pred, gt, d)["tags"], bins).items():
+        pairs.append(([row[key] for row in types], want_counts))
+    for got_counts, want_counts in pairs:
+        assert max(abs(a - b) for a, b in zip(got_counts, want_counts, strict=True)) <= 2 * near
+    if near == 0:
+        assert [row["mean"] for row in ce] == means
